@@ -9,6 +9,7 @@ misdetection is modeled as one dummy column per track.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -67,15 +68,23 @@ def _score_of(log_score: np.ndarray, theta: tuple[int, ...]) -> float:
     return float(sum(log_score[i, t] for i, t in enumerate(theta)))
 
 
-def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[AssociationMap, float]]:
-    """Vectorized enumeration over all theta vectors; for small instances."""
-    n, m1 = log_score.shape
+@functools.cache
+def _dense_table(n: int, m1: int) -> np.ndarray:
+    """Read-only table of every valid theta vector for n tracks and m1 - 1 measurements."""
     theta = np.indices((m1,) * n).reshape(n, -1).T
     valid = np.ones(theta.shape[0], dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
             valid &= ~((theta[:, i] == theta[:, j]) & (theta[:, i] > 0))
     theta = theta[valid]
+    theta.setflags(write=False)
+    return theta
+
+
+def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[AssociationMap, float]]:
+    """Vectorized enumeration over all theta vectors; for small instances."""
+    n, m1 = log_score.shape
+    theta = _dense_table(n, m1)
     scores = log_score[np.arange(n)[None, :], theta].sum(axis=1)
     finite = np.isfinite(scores)
     theta, scores = theta[finite], scores[finite]
@@ -112,7 +121,7 @@ def ranked_assignments(log_score: np.ndarray, k: int, method: str = "auto") -> l
     counter = itertools.count()
     heap: list = [(total0, next(counter), cost0, first)]
     seen = set()
-    while heap and len(results) < k:
+    while heap:
         total, _, cost, cols = heapq.heappop(heap)
         theta = tuple(int(c) + 1 if c < m else 0 for c in cols)
         if theta not in seen:
@@ -120,6 +129,8 @@ def ranked_assignments(log_score: np.ndarray, k: int, method: str = "auto") -> l
             score = _score_of(log_score, theta)
             if np.isfinite(score):
                 results.append((score, theta))
+                if len(results) == k:
+                    break
         # partition: forbid each assigned pair in turn, force the earlier ones
         pinned = np.array(cost, copy=True)
         for i in range(n):

@@ -9,6 +9,11 @@ come from ranked assignment on the per-track log psi matrix; the posterior
 is re-marginalized over maps within each label set after every update, so
 no association history index is carried between steps.
 
+Each update does each piece of work once: psi rows are cached per distinct
+track pdf (and label, when P_D depends on it), the pdf conditioned on a
+measurement is built only when a ranked map selects it, and each distinct
+marginalized mixture is merged once however many hypotheses share it.
+
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
 hypothesis that can shrink onto it, weighted by survival.
@@ -288,8 +293,55 @@ def mdglmb_predict(
 
 
 
+class _PsiRow:
+    """log psi of one track pdf over [miss, z_1, ..., z_m], with the pdf
+    conditioned on each association built the first time a map asks for it."""
+
+    __slots__ = ("log_psi", "_pdf", "_log_miss", "_tot", "_log_det", "_mus", "_covs", "_cond")
+
+    def __init__(self, log_psi, pdf, log_miss, tot, log_det, mus, covs):
+        self.log_psi = log_psi
+        self._pdf = pdf
+        self._log_miss = log_miss  # None: misdetection leaves the pdf unchanged
+        self._tot = tot
+        self._log_det = log_det
+        self._mus = mus
+        self._covs = covs
+        self._cond: list[GaussianMixture | None] = [None] * log_psi.size
+
+    def cond(self, j: int) -> GaussianMixture:
+        hit = self._cond[j]
+        if hit is None:
+            hit = self._cond[j] = self._build(j)
+        return hit
+
+    def _build(self, j: int) -> GaussianMixture:
+        pdf = self._pdf
+        if j == 0:
+            tot = self.log_psi[0]
+            if self._log_miss is None or not np.isfinite(tot):
+                return pdf
+            keep = np.isfinite(self._log_miss)
+            return GaussianMixture._raw(self._log_miss[keep] - tot, pdf.means[keep], pdf.covs[keep], 0.0)
+        tot = self._tot[j - 1]
+        if not np.isfinite(tot):
+            return pdf
+        keep = np.isfinite(self._log_det[:, j - 1])
+        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, self._mus[keep, j - 1], self._covs[keep], 0.0)
+
+
 class _PsiTable:
-    """Per-update cache of psi rows keyed by track-pdf content."""
+    """Per-update cache of psi rows keyed by track-pdf content (and label
+    when P_D depends on it).
+
+    A row's log psi comes from one batched unscented update against every
+    measurement and one log-sum-exp per measurement over the components,
+    taken row-wise on the transposed (m, n) detection matrix so that each
+    sum runs over one contiguous row, in the order a single-column sum
+    would. Conditioned pdfs are left to `_PsiRow.cond`, which builds each
+    on first use and keeps it, so most of them, for measurements no ranked
+    map selects, are never built.
+    """
 
     def __init__(self, Z, sensor: SensorModel, cfg: FilterConfig, diagnostics: UpdateDiagnostics | None):
         self.Z = np.asarray(Z, dtype=float)
@@ -310,18 +362,16 @@ class _PsiTable:
         np.maximum(self.log_kappa, math.log(1e-30), out=self.log_kappa)
         self._rows: dict = {}
 
-    def rows(self, pdf: GaussianMixture, label: Label):
+    def row(self, pdf: GaussianMixture, label: Label) -> _PsiRow:
         key = (gm_key(pdf), label if callable(self.pd) else None)
         hit = self._rows.get(key)
         if hit is None:
-            hit = self._compute(pdf, label)
-            self._rows[key] = hit
+            hit = self._rows[key] = self._compute(pdf, label)
         return hit
 
-    def _compute(self, pdf: GaussianMixture, label: Label):
+    def _compute(self, pdf: GaussianMixture, label: Label) -> _PsiRow:
         m = self.Z.size
         log_psi = np.empty(m + 1)
-        cond: list[GaussianMixture] = [pdf] * (m + 1)
         alpha = pdf.log_w - pdf.total_log_weight()
 
         if callable(self.pd):
@@ -332,52 +382,43 @@ class _PsiTable:
         with np.errstate(divide="ignore"):
             log_miss = alpha + np.log1p(-np.minimum(pd_vals, 1.0))
         log_psi[0] = _lse(log_miss)
-        if callable(self.pd) and np.isfinite(log_psi[0]):
-            keep = np.isfinite(log_miss)
-            cond[0] = GaussianMixture._raw(log_miss[keep] - log_psi[0], pdf.means[keep], pdf.covs[keep], 0.0)
+        if not callable(self.pd):
+            log_miss = None
 
-        if m:
-            ll, mus, covs, ok = unscented_update_mixture(
-                pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular, self.cfg.ut
-            )
-            if self.diag is not None and not ok.all():
-                self.diag.dropped_components += int((~ok).sum())
-            with np.errstate(divide="ignore"):
-                log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll  # (n, m)
-            for j in range(m):
-                tot = _lse(log_det[:, j])
-                log_psi[j + 1] = tot - self.log_kappa[j]
-                if np.isfinite(tot):
-                    keep = np.isfinite(log_det[:, j])
-                    cond[j + 1] = GaussianMixture._raw(log_det[keep, j] - tot, mus[keep, j], covs[keep], 0.0)
-        return log_psi, cond
+        if not m:
+            return _PsiRow(log_psi, pdf, log_miss, None, None, None, None)
+        ll, mus, covs, ok = unscented_update_mixture(
+            pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular, self.cfg.ut
+        )
+        if self.diag is not None and not ok.all():
+            self.diag.dropped_components += int((~ok).sum())
+        with np.errstate(divide="ignore"):
+            log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll  # (n, m)
+        per_z = np.ascontiguousarray(log_det.T)
+        tot = per_z.max(axis=1, initial=-np.inf)
+        live = np.isfinite(tot)
+        sums = np.exp(per_z[live] - tot[live, None]).sum(axis=1)
+        tot[live] += [math.log(s) for s in sums.tolist()]
+        log_psi[1:] = tot - self.log_kappa
+        return _PsiRow(log_psi, pdf, log_miss, tot, log_det, mus, covs)
 
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else -np.inf
 
 
-def psi_bar(
-    track_pdf: GaussianMixture,
-    ell: Label,
-    z_index: int,
-    Z,
-    sensor: SensorModel,
-    detection_prob: StateLabelFn | None = None,
-    clutter_intensity: Callable | None = None,
-    ut: UtParams = DEFAULT_UT,
-    diagnostics: UpdateDiagnostics | None = None,
-) -> tuple[float, GaussianMixture]:
-    """Expected association likelihood and conditioned pdf for one track.
+def _memo_reducer(cfg: FilterConfig) -> Callable[[GaussianMixture], GaussianMixture]:
+    """gm_merge_prune_cap under cfg, run once per distinct mixture content."""
+    cache: dict[tuple, GaussianMixture] = {}
 
-    z_index = 0 is the misdetection branch: returns <1 - P_D, p> with the
-    prior pdf reweighted; z_index = j > 0 conditions on measurement Z[j-1]
-    through an unscented update of every component.
-    """
-    cfg = FilterConfig(detection_prob=detection_prob, clutter_intensity=clutter_intensity, ut=ut)
-    table = _PsiTable(Z, sensor, cfg, diagnostics)
-    log_psi, cond = table.rows(track_pdf, ell)
-    return float(log_psi[z_index]), cond[z_index]
+    def reduce_one(p: GaussianMixture) -> GaussianMixture:
+        key = gm_key(p)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = gm_merge_prune_cap(p, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
+        return hit
+
+    return reduce_one
 
 
 def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
@@ -385,16 +426,7 @@ def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
 
     Mixtures shared between hypotheses are reduced once.
     """
-    cache: dict[tuple, GaussianMixture] = {}
-
-    def reduce_one(p: GaussianMixture) -> GaussianMixture:
-        key = gm_key(p)
-        hit = cache.get(key)
-        if hit is None:
-            hit = gm_merge_prune_cap(p, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
-            cache[key] = hit
-        return hit
-
+    reduce_one = _memo_reducer(cfg)
     hyps = [
         MdGlmbHypothesis(h.label_set, h.log_weight, tuple(reduce_one(p) for p in h.pdfs))
         for h in d.hypotheses
@@ -440,11 +472,11 @@ def mdglmb_update(
     entries = []  # (hyp index, theta, unnormalized log weight)
     rows_per_hyp = []
     for hi, h in enumerate(predicted.hypotheses):
-        rows = [table.rows(pdf, lab) for lab, pdf in zip(h.label_set, h.pdfs)]
+        rows = [table.row(pdf, lab) for lab, pdf in zip(h.label_set, h.pdfs)]
         rows_per_hyp.append(rows)
         if not math.isfinite(h.log_weight):
             continue
-        log_score = np.stack([r[0] for r in rows]) if rows else np.zeros((0, m + 1))
+        log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, m + 1))
         if method == "exhaustive":
             maps = exhaustive_assignments(log_score)
         else:
@@ -460,6 +492,7 @@ def mdglmb_update(
     for hi, theta, lw in entries:
         by_hyp.setdefault(hi, []).append((theta, lw - total))
 
+    reduce_one = _memo_reducer(cfg)
     hyps = []
     for hi, members in by_hyp.items():
         h = predicted.hypotheses[hi]
@@ -469,9 +502,8 @@ def mdglmb_update(
             groups: dict[int, list[float]] = {}
             for theta, w in members:
                 groups.setdefault(theta[i], []).append(w)
-            contribs = [(_lse(ws) - log_w, rows_per_hyp[hi][i][1][j]) for j, ws in sorted(groups.items())]
-            mixed = _mix_contributions([(c, p) for c, p in contribs])
-            pdfs.append(gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components))
+            contribs = [(_lse(ws) - log_w, rows_per_hyp[hi][i].cond(j)) for j, ws in sorted(groups.items())]
+            pdfs.append(reduce_one(_mix_contributions(contribs)))
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
 
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))

@@ -9,6 +9,7 @@ and reduced to planar positions first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def ospa(x, y, cutoff: float, order: float = 2.0) -> OspaResult:
     diff = px[:, None, :] - py[None, :, :]
     dist = np.minimum(np.sqrt((diff**2).sum(axis=2)), cutoff) ** order
     rows, cols = linear_sum_assignment(dist)
-    matched = float(dist[rows, cols].sum())
+    # an exactly rounded sum, so ospa(x, y) == ospa(y, x) to the last bit
+    matched = math.fsum(dist[rows, cols].tolist())
     loc = (matched / m) ** (1.0 / order)
     card = (cutoff**order * (m - n) / m) ** (1.0 / order)
     total = ((matched + cutoff**order * (m - n)) / m) ** (1.0 / order)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from distmot import assignment
 from distmot.assignment import (
     AssociationMap,
+    _dense_table,
     enumerate_assignment_vectors,
     exhaustive_assignments,
     ranked_assignments,
@@ -78,3 +80,32 @@ def test_murty_finds_every_map(seed):
     scores = [s for _, s in got]
     assert scores == sorted(scores, reverse=True)
     assert len({g[0].assignments for g in got}) == count
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_murty_stops_at_k(monkeypatch, k):
+    # every popped map but the k-th is partitioned into n subproblems
+    rng = np.random.default_rng(k)
+    n, m = 3, 4
+    log_score = rng.normal(size=(n, m + 1))
+    solves = []
+    real = assignment.linear_sum_assignment
+
+    def counting(cost):
+        solves.append(1)
+        return real(cost)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+    got = ranked_assignments(log_score, k, method="murty")
+    assert len(solves) == 1 + n * (k - 1)
+    assert got == exhaustive_assignments(log_score)[:k]
+
+
+def test_dense_table_is_cached_read_only():
+    table = _dense_table(3, 5)
+    assert _dense_table(3, 5) is table
+    assert not table.flags.writeable
+    assert [tuple(t) for t in table.tolist()] == sorted(enumerate_assignment_vectors(3, 4))
+    log_score = np.random.default_rng(0).normal(size=(3, 5))
+    ranked_assignments(log_score, 4, method="dense")
+    assert _dense_table(3, 5) is table

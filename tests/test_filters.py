@@ -29,10 +29,11 @@ from distmot.filters import (
     mdglmb_predict,
     mdglmb_update,
     ncv_motion_model,
-    psi_bar,
 )
+from distmot.filters import _eval_state_fn, _lse, _PsiTable
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
+from distmot.sensors import expected_value_mixture, make_doa, make_toa, unscented_update_mixture
 
 L1, L2, L3 = Label(0, 1), Label(0, 2), Label(1, 1)
 
@@ -156,6 +157,124 @@ class TestMdglmbPredict:
         assert len(pred) == 8
         total = sum(math.exp(h.log_weight) for h in pred.hypotheses)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def psi_bar(track_pdf, ell, z_index, Z, sensor, detection_prob=None, clutter_intensity=None):
+    """Expected association likelihood and conditioned pdf for one track.
+
+    z_index = 0 is the misdetection branch; z_index = j > 0 conditions on
+    measurement Z[j-1].
+    """
+    cfg = FilterConfig(detection_prob=detection_prob, clutter_intensity=clutter_intensity)
+    row = _PsiTable(Z, sensor, cfg, None).row(track_pdf, ell)
+    return float(row.log_psi[z_index]), row.cond(z_index)
+
+
+def eager_psi_row(table, pdf, label):
+    """Reference construction: log psi by one log-sum-exp per measurement and
+    every conditioned pdf built up front."""
+    m = table.Z.size
+    log_psi = np.empty(m + 1)
+    cond = [pdf] * (m + 1)
+    alpha = pdf.log_w - pdf.total_log_weight()
+    if callable(table.pd):
+        pd_vals = np.clip(expected_value_mixture(pdf, lambda x: _eval_state_fn(table.pd, x, label), table.cfg.ut), 0.0, 1.0)
+    else:
+        pd_vals = np.full(pdf.n_components, float(table.pd))
+    with np.errstate(divide="ignore"):
+        log_miss = alpha + np.log1p(-np.minimum(pd_vals, 1.0))
+    log_psi[0] = _lse(log_miss)
+    if callable(table.pd) and np.isfinite(log_psi[0]):
+        keep = np.isfinite(log_miss)
+        cond[0] = GaussianMixture._raw(log_miss[keep] - log_psi[0], pdf.means[keep], pdf.covs[keep], 0.0)
+    if m:
+        sensor = table.sensor
+        ll, mus, covs, _ = unscented_update_mixture(pdf, table.Z, sensor.h, sensor.noise_std**2, sensor.angular, table.cfg.ut)
+        with np.errstate(divide="ignore"):
+            log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll
+        for j in range(m):
+            tot = _lse(log_det[:, j])
+            log_psi[j + 1] = tot - table.log_kappa[j]
+            if np.isfinite(tot):
+                keep = np.isfinite(log_det[:, j])
+                cond[j + 1] = GaussianMixture._raw(log_det[keep, j] - tot, mus[keep, j], covs[keep], 0.0)
+    return log_psi, cond
+
+
+def random_track_pdf(rng, n, spread=100.0, pos_var=1e4):
+    """n overlapping components, so that no single one dominates a log-sum-exp."""
+    center = rng.uniform(-20 * spread, 20 * spread, 2)
+    means = np.column_stack([center[0] + rng.normal(0, spread, n), rng.normal(0, 10, n), center[1] + rng.normal(0, spread, n), rng.normal(0, 10, n)])
+    covs = []
+    for _ in range(n):
+        a = rng.normal(size=(4, 4)) * math.sqrt(pos_var) / 10
+        covs.append(a @ a.T + np.diag([pos_var, 100.0, pos_var, 100.0]))
+    return GaussianMixture(rng.normal(size=n), means, np.array(covs))
+
+
+def label_pd(states, label):
+    """State- and label-dependent P_D; zero for L2, so all its detection columns are -inf."""
+    if label == L2:
+        return np.zeros(len(states))
+    return 0.5 + 0.45 * np.tanh(states[:, 0] / 1e3)
+
+
+class TestLazyConditioning:
+    """The lazy table returns exactly what the eager construction built."""
+
+    @staticmethod
+    def assert_rows_equal(table, pdf, label):
+        want_psi, want_cond = eager_psi_row(table, pdf, label)
+        row = table.row(pdf, label)
+        assert np.array_equal(row.log_psi, want_psi)
+        for j in reversed(range(want_psi.size)):
+            got = row.cond(j)
+            assert got is row.cond(j)
+            if want_cond[j] is pdf:
+                assert got is pdf
+            assert np.array_equal(got.log_w, want_cond[j].log_w)
+            assert np.array_equal(got.means, want_cond[j].means)
+            assert np.array_equal(got.covs, want_cond[j].covs)
+            assert got.total_log_weight() == want_cond[j].total_log_weight()
+
+    @pytest.mark.parametrize("pd", [0.8, 1.0, label_pd])
+    @pytest.mark.parametrize("kind", ["toa", "doa", "linear"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_mixtures_and_scans(self, seed, kind, pd):
+        # up to 16 overlapping components: a log-sum-exp over 8 or more
+        # comparable terms is where the order of summation can show
+        rng = np.random.default_rng(seed)
+        if kind == "toa":
+            sensor = make_toa((-500.0, 300.0), noise_std=50.0, clutter_rate=5.0)
+            pdf = random_track_pdf(rng, int(rng.integers(1, 17)))
+        elif kind == "doa":
+            sensor = make_doa((400.0, -700.0), clutter_rate=5.0)
+            pdf = random_track_pdf(rng, int(rng.integers(1, 17)))
+        else:
+            sensor = linear_px_sensor(noise_std=0.3, clutter_rate=1.0, space=(-10.0, 10.0))
+            pdf = random_track_pdf(rng, int(rng.integers(1, 17)), spread=0.3, pos_var=0.05)
+        lo, hi = sensor.measurement_space
+        near = [sensor.h(pdf.means[i]) for i in rng.integers(0, pdf.n_components, 12)]
+        Z = np.concatenate([near, rng.uniform(lo, hi, int(rng.integers(0, 4)))])
+        table = _PsiTable(Z, sensor, FilterConfig(detection_prob=pd), None)
+        for label in (L1, L2):
+            self.assert_rows_equal(table, pdf, label)
+
+    @pytest.mark.parametrize("pd", [0.8, label_pd])
+    def test_no_measurements(self, pd):
+        rng = np.random.default_rng(3)
+        table = _PsiTable([], make_doa((0.0, 0.0)), FilterConfig(detection_prob=pd), None)
+        pdf = random_track_pdf(rng, 9)
+        self.assert_rows_equal(table, pdf, L1)
+        assert table.row(pdf, L1).log_psi.shape == (1,)
+
+    def test_impossible_detection_returns_prior(self):
+        rng = np.random.default_rng(5)
+        sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0)
+        pdf = random_track_pdf(rng, 4)
+        row = _PsiTable([100.0, 900.0], sensor, FilterConfig(detection_prob=label_pd), None).row(pdf, L2)
+        assert np.all(row.log_psi[1:] == -np.inf)
+        assert row.cond(1) is pdf and row.cond(2) is pdf
 
 
 class TestPsiBar:
