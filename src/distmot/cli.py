@@ -1,4 +1,4 @@
-"""Command-line interface: run experiments, validate scenarios, run oracles.
+"""Command-line interface: run experiments and validate scenarios.
 
 Exit codes: 0 success, 2 scenario/validation error, 3 runtime failure.
 """
@@ -6,10 +6,7 @@ Exit codes: 0 success, 2 scenario/validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 from .harness import ALGORITHMS, resolve_workers, run_experiment
 from .scenario import ScenarioError, load_scenario, with_overrides
@@ -55,156 +52,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _oracle_ospa() -> bool:
-    from itertools import permutations
-
-    from .ospa import ospa
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(200):
-        n, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        x = rng.uniform(0, 1000, size=(n, 2))
-        y = rng.uniform(0, 1000, size=(m, 2))
-        got = ospa(x, y, 300.0, 2.0).total
-        if n > m:
-            x, y = y, x
-            n, m = m, n
-        if m == 0:
-            brute = 0.0
-        elif n == 0:
-            brute = 300.0
-        else:
-            c2 = 300.0**2
-            best = math.inf
-            for perm in permutations(range(m), n):
-                cost = sum(min(np.hypot(*(x[i] - y[j])), 300.0) ** 2 for i, j in enumerate(perm))
-                best = min(best, cost)
-            brute = math.sqrt((best + c2 * (m - n)) / m)
-        worst = max(worst, abs(got - brute))
-    print(f"ospa vs brute-force permutations over 200 random pairs: max |diff| = {worst:.3e}")
-    return worst < 1e-9
-
-
-def _oracle_assignment() -> bool:
-    from .assignment import exhaustive_assignments, ranked_assignments
-
-    rng = np.random.default_rng(1)
-    ok = True
-    for _ in range(50):
-        log_score = rng.normal(size=(3, 5))
-        expect = exhaustive_assignments(log_score)[:10]
-        got = ranked_assignments(log_score, 10, method="murty")
-        ok &= [g[0].assignments for g in got] == [e[0].assignments for e in expect]
-    print(f"murty vs exhaustive enumeration on 50 random 3x4 instances: {'match' if ok else 'MISMATCH'}")
-    return ok
-
-
-def _oracle_lmb_fusion() -> bool:
-    from .densities import LmbDensity, LmbEntry
-    from .fusion import fuse_lmb
-    from .gm import Gaussian, GaussianMixture
-    from .labels import Label
-
-    lab = Label(0, 1)
-    pdf = GaussianMixture.single(Gaussian([1.0], [[1.0]]))
-    a = LmbDensity((LmbEntry(lab, 0.2, pdf),))
-    b = LmbDensity((LmbEntry(lab, 0.8, pdf),))
-    fused = fuse_lmb([(a, 0.5), (b, 0.5)])
-    r = fused.entry(lab).existence
-    print(f"fused existence for r=(0.2, 0.8), identical pdfs, equal weights: {r:.12f} (closed form 0.5)")
-    return abs(r - 0.5) < 1e-10
-
-
-def _oracle_mdglmb_fusion() -> bool:
-    import math as _math
-
-    from .densities import MdGlmbDensity, MdGlmbHypothesis
-    from .fusion import fuse_mdglmb
-    from .gm import Gaussian, GaussianMixture
-    from .labels import EMPTY_LABEL_SET, Label, LabelSet
-    from .set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral
-
-    lab = Label(0, 1)
-    grid = np.linspace(-25.0, 25.0, 2001)
-
-    def density(w0, mean, var):
-        return MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, _math.log(w0), ()),
-            MdGlmbHypothesis(LabelSet((lab,)), _math.log(1 - w0),
-                             (GaussianMixture.single(Gaussian([mean], [[var]])),)),
-        ])
-
-    a, b = density(0.4, -1.0, 1.0), density(0.7, 1.5, 2.0)
-    fused = fuse_mdglmb([(a, 0.6), (b, 0.4)])
-    ev = geometric_mean_evaluator([(mdglmb_evaluator(a), 0.6), (mdglmb_evaluator(b), 0.4)])
-    m_empty = subset_integral(ev, (), grid)
-    m_one = subset_integral(ev, (lab,), grid)
-    expect = m_one / (m_empty + m_one)
-    got = math.exp(fused.hypothesis(LabelSet((lab,))).log_weight)
-    print(f"fused 1-object weight {got:.6f} vs grid set-integral {expect:.6f}")
-    return abs(got - expect) / expect < 1e-3
-
-
-def _oracle_consensus_matrix() -> bool:
-    from .network import NetworkGraph, consensus_matrix_power_check, metropolis_weights
-
-    g = NetworkGraph.from_undirected_edges(
-        (0, 1, 2, 3, 4, 5, 6),
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (1, 5)],
-    )
-    omega = metropolis_weights(g)
-    devs = {n: consensus_matrix_power_check(omega, n) for n in (1, 3, 10)}
-    print("7-node diameter-3 graph, max |(Omega^n)_ij - 1/7|:",
-          ", ".join(f"n={n}: {d:.4f}" for n, d in devs.items()))
-    return devs[3] < devs[1] and devs[10] < 0.05
-
-
-def _oracle_cardinality() -> bool:
-    import itertools
-
-    from .densities import LmbDensity, LmbEntry, cardinality_distribution_lmb
-    from .gm import Gaussian, GaussianMixture
-    from .labels import Label
-
-    rng = np.random.default_rng(2)
-    rs = rng.uniform(0.05, 0.95, size=10)
-    d = LmbDensity(tuple(
-        LmbEntry(Label(0, i + 1), float(r), GaussianMixture.single(Gaussian([float(i)], [[1.0]])))
-        for i, r in enumerate(rs)
-    ))
-    pmf = cardinality_distribution_lmb(d)
-    brute = np.zeros(11)
-    for inc in itertools.product([0, 1], repeat=10):
-        brute[sum(inc)] += math.prod(r if b else 1 - r for r, b in zip(rs, inc))
-    err = np.abs(pmf - brute).max()
-    print(f"Bernoulli-sum pmf vs 2^10 enumeration: max |diff| = {err:.3e}")
-    return err < 1e-12
-
-
-ORACLES = {
-    "ospa": _oracle_ospa,
-    "assignment": _oracle_assignment,
-    "lmb-fusion": _oracle_lmb_fusion,
-    "mdglmb-fusion": _oracle_mdglmb_fusion,
-    "consensus-matrix": _oracle_consensus_matrix,
-    "cardinality": _oracle_cardinality,
-}
-
-
-def _cmd_oracle(args) -> int:
-    names = list(ORACLES) if args.name == "all" else [args.name]
-    ok = True
-    for name in names:
-        if name not in ORACLES:
-            print(f"unknown oracle {name!r}; available: {', '.join(ORACLES)} or 'all'", file=sys.stderr)
-            return EXIT_VALIDATION
-        passed = ORACLES[name]()
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-        ok &= passed
-    return 0 if ok else EXIT_RUNTIME
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="distmot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="validate a scenario file")
     val.add_argument("--scenario", required=True)
     val.set_defaults(fn=_cmd_validate)
-
-    orc = sub.add_parser("oracle", help="run a brute-force test oracle standalone")
-    orc.add_argument("name", help=f"one of: {', '.join(ORACLES)}, or 'all'")
-    orc.set_defaults(fn=_cmd_oracle)
     return parser
 
 

@@ -21,16 +21,6 @@ NORMALIZATION_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class Track:
-    label: Label
-    pdf: GaussianMixture
-
-    def __post_init__(self):
-        if not self.pdf.is_normalized(atol=1e-6):
-            raise ValueError(f"track pdf for {self.label} is not normalized")
-
-
-@dataclass(frozen=True, eq=False)
 class LmbEntry:
     label: Label
     existence: float
@@ -56,10 +46,6 @@ class LmbDensity:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in LMB density")
         object.__setattr__(self, "entries", ents)
-
-    @classmethod
-    def of(cls, entries) -> "LmbDensity":
-        return cls(tuple(LmbEntry(*e) if not isinstance(e, LmbEntry) else e for e in entries))
 
     @classmethod
     def empty(cls) -> "LmbDensity":
@@ -195,11 +181,6 @@ def cardinality_distribution_lmb(d: LmbDensity) -> np.ndarray:
     for e in d.entries:
         pmf = np.convolve(pmf, [1.0 - e.existence, e.existence])
     return pmf
-
-
-def expected_cardinality_mdglmb(d: MdGlmbDensity) -> float:
-    pmf = cardinality_distribution_mdglmb(d)
-    return float(np.arange(pmf.size) @ pmf)
 
 
 def intensity_mdglmb(d: MdGlmbDensity, label: Label) -> tuple[float, GaussianMixture]:

@@ -130,8 +130,6 @@ class FilterConfig:
     gm_trunc_thresh: float = 1e-4
     gm_max_components: int = 25
     lmb_prune_thresh: float = 1e-4
-    detection_prob: StateLabelFn | None = None  # None: use the sensor's model
-    clutter_intensity: Callable | None = None   # None: uniform over the sensor's space
     ut: UtParams = DEFAULT_UT
 
 
@@ -348,15 +346,11 @@ class _PsiTable:
         self.sensor = sensor
         self.cfg = cfg
         self.diag = diagnostics
-        self.pd = cfg.detection_prob if cfg.detection_prob is not None else sensor.detection_prob
-        if cfg.clutter_intensity is not None:
-            self.log_kappa = np.array([_safe_log(cfg.clutter_intensity(z)) for z in self.Z])
-        else:
-            # filter-side clutter model: uniform density over the sensor's
-            # measurement space for every received z
-            lo, hi = sensor.measurement_space
-            dens = sensor.clutter_rate / (hi - lo)
-            self.log_kappa = np.full(self.Z.size, _safe_log(dens))
+        self.pd = sensor.detection_prob
+        # filter-side clutter model: uniform density over the sensor's
+        # measurement space for every received z
+        lo, hi = sensor.measurement_space
+        self.log_kappa = np.full(self.Z.size, _safe_log(sensor.clutter_rate / (hi - lo)))
         # kappa -> 0 limit: a measurement no clutter can explain forces an
         # association; keep the ratio finite so map ranking stays ordered
         np.maximum(self.log_kappa, math.log(1e-30), out=self.log_kappa)
@@ -535,7 +529,6 @@ def lmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    method: str = "ranked",
     diagnostics: UpdateDiagnostics | None = None,
 ) -> LmbDensity:
     """Expand to label-set hypotheses, update, and collapse back to an LMB.
@@ -544,7 +537,7 @@ def lmb_update(
     updated hypotheses containing l and p(., l) the matching mixture.
     """
     expanded = lmb_to_mdglmb(predicted, cfg.max_hypotheses)
-    updated = mdglmb_update(expanded, Z, sensor, cfg, method=method, diagnostics=diagnostics)
+    updated = mdglmb_update(expanded, Z, sensor, cfg, diagnostics=diagnostics)
     return lmb_from_mdglmb(updated)
 
 

@@ -43,7 +43,6 @@ def _check_weights(weights) -> np.ndarray:
 def fuse_mdglmb(
     inputs: list[tuple[MdGlmbDensity, float]],
     merge_thresh: float | None = None,
-    inputs_reduced: bool = False,
 ) -> MdGlmbDensity:
     """Weighted KLA of marginalized delta-GLMB densities.
 
@@ -73,7 +72,7 @@ def fuse_mdglmb(
             key = tuple(gm_key(p) for p, _ in parts)
             hit = fused_cache.get(key)
             if hit is None:
-                hit = gm_chernoff_multi(parts, merge_thresh=merge_thresh, inputs_reduced=inputs_reduced)
+                hit = gm_chernoff_multi(parts, merge_thresh=merge_thresh)
                 fused_cache[key] = hit
             fused, log_eta = hit
             pdfs.append(fused)
@@ -90,7 +89,6 @@ def fuse_mdglmb(
 def fuse_lmb(
     inputs: list[tuple[LmbDensity, float]],
     merge_thresh: float | None = None,
-    inputs_reduced: bool = False,
 ) -> LmbDensity:
     """Weighted KLA of LMB densities.
 
@@ -110,9 +108,7 @@ def fuse_lmb(
     entries = []
     for lab in sorted(common):
         per_input = [(d.entry(lab), w) for d, w in active]
-        fused_pdf, log_eta = gm_chernoff_multi(
-            [(e.pdf, w) for e, w in per_input], merge_thresh=merge_thresh, inputs_reduced=inputs_reduced
-        )
+        fused_pdf, log_eta = gm_chernoff_multi([(e.pdf, w) for e, w in per_input], merge_thresh=merge_thresh)
         log_q = sum(w * math.log1p(-e.existence) if e.existence < 1.0 else -math.inf for e, w in per_input)
         log_r_prod = sum(w * math.log(e.existence) if e.existence > 0.0 else -math.inf for e, w in per_input)
         log_r = log_eta + log_r_prod
@@ -138,31 +134,30 @@ def consensus_run(
     densities with its consensus-matrix weights, then reduces the mixtures.
 
     Densities are immutable snapshots; all fusions in a round read the
-    previous round's output. Dispatches on density type (M-delta-GLMB or
-    LMB). n_rounds = 0 returns the inputs unchanged.
+    previous round's output. The density type (M-delta-GLMB or LMB) picks
+    the fusion and reduction once per call. Node densities are fused as
+    given; with cfg, each fold accumulator is merged at cfg.gm_merge_thresh
+    and every fused density is reduced, without cfg nothing is merged.
+    n_rounds = 0 returns the inputs unchanged.
     """
     if len(node_densities) != len(g.nodes):
         raise ValueError("one density per graph node required")
     if omega.nodes != tuple(g.nodes):
         raise ValueError("consensus matrix node order does not match the graph")
+    if isinstance(node_densities[0], MdGlmbDensity):
+        fuse, reduce = fuse_mdglmb, reduce_mdglmb_pdfs
+    elif isinstance(node_densities[0], LmbDensity):
+        fuse, reduce = fuse_lmb, reduce_lmb_pdfs
+    else:
+        raise TypeError(f"cannot fuse densities of type {type(node_densities[0]).__name__}")
     merge_thresh = cfg.gm_merge_thresh if cfg is not None else None
     current = list(node_densities)
     index = {node: i for i, node in enumerate(g.nodes)}
     for _ in range(n_rounds):
         new = []
         for node in g.nodes:
-            neigh = g.in_neighbours(node)
-            pairs = [(current[index[j]], omega.weight(node, j)) for j in neigh]
-            if isinstance(current[0], MdGlmbDensity):
-                fused = fuse_mdglmb(pairs, merge_thresh=merge_thresh, inputs_reduced=cfg is not None)
-                if cfg is not None:
-                    fused = reduce_mdglmb_pdfs(fused, cfg)
-            elif isinstance(current[0], LmbDensity):
-                fused = fuse_lmb(pairs, merge_thresh=merge_thresh, inputs_reduced=cfg is not None)
-                if cfg is not None:
-                    fused = reduce_lmb_pdfs(fused, cfg)
-            else:
-                raise TypeError(f"cannot fuse densities of type {type(current[0]).__name__}")
-            new.append(fused)
+            pairs = [(current[index[j]], omega.weight(node, j)) for j in g.in_neighbours(node)]
+            fused = fuse(pairs, merge_thresh=merge_thresh)
+            new.append(fused if cfg is None else reduce(fused, cfg))
         current = new
     return current

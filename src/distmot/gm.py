@@ -301,9 +301,6 @@ class GaussianMixture:
             raise ValueError("cannot normalize a zero-mass mixture")
         return GaussianMixture._raw(self.log_w - self._log_total, self.means, self.covs, 0.0)
 
-    def scaled(self, log_factor: float) -> "GaussianMixture":
-        return GaussianMixture(self.log_w + log_factor, self.means, self.covs)
-
     def pdf(self, x) -> np.ndarray:
         """Mixture density at x; x may be scalar-state (m, d) or (d,)."""
         xs = np.atleast_2d(np.asarray(x, dtype=float))
@@ -337,15 +334,6 @@ def gm_key(p: GaussianMixture) -> tuple:
         key = (p.log_w.tobytes(), p.means.tobytes(), p.covs.tobytes())
         object.__setattr__(p, "_content_key", key)
         return key
-
-
-def gm_allclose(a: GaussianMixture, b: GaussianMixture, atol: float = 1e-9) -> bool:
-    return (
-        a.n_components == b.n_components
-        and np.allclose(a.log_w, b.log_w, atol=atol)
-        and np.allclose(a.means, b.means, atol=atol)
-        and np.allclose(a.covs, b.covs, atol=atol)
-    )
 
 
 def gm_merge_prune_cap(
@@ -463,15 +451,13 @@ def gm_chernoff_pair(
     p_a: GaussianMixture,
     p_b: GaussianMixture,
     omega: float,
-    merge_thresh: float | None = None,
 ) -> tuple[GaussianMixture, float]:
     """Geometric-mean fusion p_a^w * p_b^(1-w) approximated component-pairwise.
 
     Returns the normalized fused mixture and the log of the pre-normalization
     mass, i.e. the mixture approximation of log integral(p_a^w p_b^(1-w)).
     Exponents 0 and 1 short-circuit to the corresponding input with zero
-    log-mass. When merge_thresh is given, each input is merged first; close
-    components degrade the pairwise approximation.
+    log-mass.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
@@ -481,9 +467,6 @@ def gm_chernoff_pair(
         return p_b, 0.0
     if omega == 1.0:
         return p_a, 0.0
-    if merge_thresh is not None:
-        p_a = gm_merge_prune_cap(p_a, merge_thresh, 0.0, p_a.n_components)
-        p_b = gm_merge_prune_cap(p_b, merge_thresh, 0.0, p_b.n_components)
     if p_a.n_components == 1 and p_b.n_components == 1:
         return _single_pair_chernoff(p_a, p_b, omega)
     log_alpha, mean, cov = _pairwise_chernoff(p_a, p_b, omega)
@@ -498,7 +481,6 @@ def gm_chernoff_pair(
 def gm_chernoff_multi(
     inputs: list[tuple[GaussianMixture, float]],
     merge_thresh: float | None = None,
-    inputs_reduced: bool = False,
 ) -> tuple[GaussianMixture, float]:
     """Weighted geometric mean of several mixtures by folded pairwise fusion.
 
@@ -508,9 +490,9 @@ def gm_chernoff_multi(
     which telescopes to log integral(prod p_i^w_i). A single input is
     returned unchanged with zero log-mass.
 
-    With merge_thresh set, close components are merged before every pairwise
-    step; inputs_reduced promises the inputs are already merged at that
-    threshold so only the fold accumulator needs re-merging.
+    With merge_thresh set, the fold accumulator is merged at that threshold
+    before each further pairwise step, since close components degrade the
+    pairwise approximation; the inputs are fused as given.
     """
     if not inputs:
         raise ValueError("need at least one fusion input")
@@ -519,11 +501,6 @@ def gm_chernoff_multi(
         raise ValueError("fusion weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"fusion weights must sum to 1, got {weights.sum()!r}")
-    if merge_thresh is not None and not inputs_reduced:
-        inputs = [
-            (gm_merge_prune_cap(p, merge_thresh, 0.0, p.n_components) if p.n_components > 1 else p, w)
-            for p, w in inputs
-        ]
     acc, w_acc = inputs[0]
     log_norm = 0.0
     acc_is_fused = False

@@ -30,9 +30,6 @@ from .filters import (
     lmb_predict,
     lmb_prune,
     lmb_update,
-    mdglmb_predict,
-    mdglmb_update,
-    reduce_mdglmb_pdfs,
 )
 from .fusion import consensus_run
 from .network import metropolis_weights
@@ -78,14 +75,13 @@ def _sensor_rngs(trial_seed: int, n_sensors: int):
     ]
 
 
-def run_trial(
-    scenario: Scenario,
-    algorithm: str,
-    trial_seed: int,
-    cutoff: float = OSPA_CUTOFF,
-    order: float = OSPA_ORDER,
-) -> TrialResult:
-    """Deterministic single trial; all randomness derives from trial_seed."""
+def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResult:
+    """Deterministic single trial; all randomness derives from trial_seed.
+
+    Every algorithm runs one recursion per step: a local step at each node,
+    then the scenario's consensus rounds, then extraction. Centralized is a
+    single node that receives every sensor's scan and runs no round.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     from distmot.sensors import simulate_measurements
@@ -95,20 +91,29 @@ def run_trial(
     birth = scenario.birth
     cfg = scenario.filter
     graph = scenario.graph
-    omega = metropolis_weights(graph) if len(graph.nodes) > 1 else None
     rngs = _sensor_rngs(trial_seed, len(scenario.sensors))
     diag = UpdateDiagnostics()
 
-    centralized = algorithm == "centralized-mdglmb"
-    use_lmb = algorithm == "consensus-lmb"
-    n_nodes = 1 if centralized else len(scenario.sensors)
+    if algorithm == "consensus-lmb":
+        empty, extract = LmbDensity.empty, extract_estimates_lmb
 
-    if centralized:
-        densities = [MdGlmbDensity.empty()]
-    elif use_lmb:
-        densities = [LmbDensity.empty() for _ in scenario.sensors]
+        def step(d, k, scans):
+            d = lmb_predict(d, motion, birth, k)
+            for sensor, Z in scans:
+                d = lmb_update(d, Z, sensor, cfg, diagnostics=diag)
+            return lmb_prune(d, cfg.lmb_prune_thresh, cfg.max_hypotheses)
     else:
-        densities = [MdGlmbDensity.empty() for _ in scenario.sensors]
+        empty, extract = MdGlmbDensity.empty, extract_estimates_mdglmb
+
+        def step(d, k, scans):
+            return centralized_mdglmb_step(d, motion, birth, k, scans, cfg, diag)
+
+    centralized = algorithm == "centralized-mdglmb"
+    if centralized:
+        n_nodes, rounds, omega = 1, 0, None
+    else:
+        n_nodes, rounds, omega = len(scenario.sensors), scenario.consensus_steps, metropolis_weights(graph)
+    densities = [empty() for _ in range(n_nodes)]
 
     est_card = [[0] * scenario.steps for _ in range(n_nodes)]
     ospa_total = [[0.0] * scenario.steps for _ in range(n_nodes)]
@@ -119,44 +124,23 @@ def run_trial(
     bytes_actual = 0
 
     for k in range(scenario.steps):
-        measurements = [simulate_measurements(truth[k], s, rngs[i]) for i, s in enumerate(scenario.sensors)]
+        scans = [(s, simulate_measurements(truth[k], s, rngs[i])) for i, s in enumerate(scenario.sensors)]
+        node_scans = [scans] if centralized else [[scan] for scan in scans]
         try:
-            if centralized:
-                densities[0] = centralized_mdglmb_step(
-                    densities[0], motion, birth, k, list(zip(scenario.sensors, measurements)), cfg, diag
-                )
-            elif use_lmb:
-                for i, sensor in enumerate(scenario.sensors):
-                    pred = lmb_predict(densities[i], motion, birth, k)
-                    post = lmb_update(pred, measurements[i], sensor, cfg, diagnostics=diag)
-                    densities[i] = lmb_prune(post, cfg.lmb_prune_thresh, cfg.max_hypotheses)
-                for _ in range(scenario.consensus_steps):
-                    for d in densities:
-                        bytes_reference += exchange_bytes_reference(d)
-                        bytes_actual += exchange_bytes_actual(d)
-                    densities = consensus_run(densities, graph, omega, 1, cfg)
-            else:
-                for i, sensor in enumerate(scenario.sensors):
-                    pred = reduce_mdglmb_pdfs(
-                        mdglmb_predict(densities[i], motion, birth, k, cfg.max_hypotheses), cfg
-                    )
-                    densities[i] = mdglmb_update(pred, measurements[i], sensor, cfg, diagnostics=diag)
-                for _ in range(scenario.consensus_steps):
-                    for d in densities:
-                        bytes_reference += exchange_bytes_reference(d)
-                        bytes_actual += exchange_bytes_actual(d)
-                    densities = consensus_run(densities, graph, omega, 1, cfg)
+            densities = [step(d, k, ns) for d, ns in zip(densities, node_scans)]
+            for _ in range(rounds):
+                for d in densities:
+                    bytes_reference += exchange_bytes_reference(d)
+                    bytes_actual += exchange_bytes_actual(d)
+                densities = consensus_run(densities, graph, omega, 1, cfg)
         except FilterDegeneracyError as e:
             raise FilterDegeneracyError(f"step {k}, algorithm {algorithm}: {e}") from e
 
         truth_states = np.array([state for _, state in truth[k]]) if truth[k] else np.zeros((0, 4))
         for node in range(n_nodes):
-            if use_lmb:
-                est = extract_estimates_lmb(densities[node])
-            else:
-                est = extract_estimates_mdglmb(densities[node])
+            est = extract(densities[node])
             est_states = np.array([s for _, s in est]) if est else np.zeros((0, 4))
-            res = ospa(est_states, truth_states, cutoff, order)
+            res = ospa(est_states, truth_states, OSPA_CUTOFF, OSPA_ORDER)
             est_card[node][k] = len(est)
             ospa_total[node][k] = res.total
             ospa_loc[node][k] = res.localization
@@ -218,8 +202,7 @@ class ExperimentResult:
 
 
 def _trial_job(args):
-    scenario, algorithm, seed, cutoff, order = args
-    return run_trial(scenario, algorithm, seed, cutoff, order)
+    return run_trial(*args)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -237,15 +220,13 @@ def run_experiment(
     consensus_steps: int | None = None,
     workers: int | None = None,
     out_dir: str | Path | None = None,
-    cutoff: float = OSPA_CUTOFF,
-    order: float = OSPA_ORDER,
     keep_trials: bool = False,
 ) -> ExperimentResult:
     """Run independent trials and aggregate in fixed trial order."""
     scenario = with_overrides(scenario, consensus_steps=consensus_steps, trials=trials)
     n_trials = scenario.trials
     seeds = [trial_seed_for(scenario.seed, t) for t in range(n_trials)]
-    jobs = [(scenario, algorithm, s, cutoff, order) for s in seeds]
+    jobs = [(scenario, algorithm, s) for s in seeds]
 
     workers = resolve_workers(workers)
     start = time.perf_counter()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class DuplicateLabelError(ValueError):
@@ -42,10 +42,6 @@ class LabelSet:
             raise DuplicateLabelError(f"duplicate labels in {labs}")
         object.__setattr__(self, "labels", labs)
 
-    @classmethod
-    def of(cls, labels: Iterable[Label]) -> "LabelSet":
-        return cls(tuple(labels))
-
     def __iter__(self) -> Iterator[Label]:
         return iter(self.labels)
 
@@ -57,18 +53,6 @@ class LabelSet:
 
     def __lt__(self, other: "LabelSet") -> bool:
         return self.labels < other.labels
-
-    def union(self, other: "LabelSet") -> "LabelSet":
-        return LabelSet(tuple(set(self.labels) | set(other.labels)))
-
-    def intersection(self, other: "LabelSet") -> "LabelSet":
-        return LabelSet(tuple(set(self.labels) & set(other.labels)))
-
-    def difference(self, other: "LabelSet") -> "LabelSet":
-        return LabelSet(tuple(set(self.labels) - set(other.labels)))
-
-    def is_subset(self, other: "LabelSet") -> bool:
-        return set(self.labels) <= set(other.labels)
 
     def __repr__(self):
         return "{" + ",".join(repr(l) for l in self.labels) + "}"

@@ -15,17 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .gm import LOG_2PI, Gaussian, GaussianMixture, symmetrize
+from .gm import LOG_2PI, GaussianMixture, symmetrize
 
 TWO_PI = 2.0 * math.pi
 
 
 class DegenerateGeometryError(ValueError):
     """Bearing is undefined for an object at the sensor position."""
-
-
-class InnovationError(ValueError):
-    """Non-positive innovation variance; the caller should drop the component."""
 
 
 def wrap_angle(a):
@@ -103,12 +99,6 @@ class SensorModel:
             out = wrap_angle(np.arctan2(dy, dx))
         return float(out[0]) if np.ndim(states) == 1 else out
 
-    def clutter_intensity(self, z: float) -> float:
-        lo, hi = self.measurement_space
-        if lo < z <= hi or (z == lo and not self.angular):
-            return self.clutter_rate / (hi - lo)
-        return 0.0
-
 
 def make_toa(position, noise_std=100.0, clutter_rate=0.0, detection_prob=0.99, r_max=70711.0) -> SensorModel:
     return SensorModel("toa", tuple(position), noise_std, clutter_rate, detection_prob, (0.0, r_max))
@@ -116,54 +106,6 @@ def make_toa(position, noise_std=100.0, clutter_rate=0.0, detection_prob=0.99, r
 
 def make_doa(position, noise_std=math.radians(1.0), clutter_rate=0.0, detection_prob=0.99) -> SensorModel:
     return SensorModel("doa", tuple(position), noise_std, clutter_rate, detection_prob, (-math.pi, math.pi))
-
-
-def measure(sensor: SensorModel, state: np.ndarray) -> float:
-    return sensor.h(state)
-
-
-def sigma_points(mean: np.ndarray, cov: np.ndarray, ut: UtParams = DEFAULT_UT):
-    d = mean.size
-    lam, wm, wc = ut.weights(d)
-    scale = np.linalg.cholesky(symmetrize(cov) * (d + lam))
-    pts = np.empty((2 * d + 1, d))
-    pts[0] = mean
-    pts[1 : d + 1] = mean + scale.T
-    pts[d + 1 :] = mean - scale.T
-    return pts, wm, wc
-
-
-def unscented_update_fn(
-    prior: Gaussian,
-    z: float,
-    h: Callable[[np.ndarray], np.ndarray],
-    noise_var: float,
-    angular: bool = False,
-    ut: UtParams = DEFAULT_UT,
-) -> tuple[Gaussian, float]:
-    """Unscented measurement update against a scalar measurement function."""
-    pts, wm, wc = sigma_points(prior.mean, prior.cov, ut)
-    hv = np.asarray(h(pts), dtype=float)
-    if angular:
-        # avoid averaging across the +-pi seam: fold about the central point
-        hv = hv[0] + angle_residual(hv, hv[0])
-    z_pred = float(wm @ hv)
-    dz = hv - z_pred
-    s = float(wc @ (dz * dz)) + noise_var
-    if s <= 0:
-        raise InnovationError(f"innovation variance {s} <= 0")
-    cross = (wc[:, None] * (pts - prior.mean)).T @ dz
-    gain = cross / s
-    resid = angle_residual(z, z_pred) if angular else z - z_pred
-    post_mean = prior.mean + gain * resid
-    post_cov = symmetrize(prior.cov - np.outer(gain, gain) * s)
-    log_lik = -0.5 * (LOG_2PI + math.log(s) + resid * resid / s)
-    return Gaussian(post_mean, post_cov), float(log_lik)
-
-
-def unscented_update(prior: Gaussian, z: float, sensor: SensorModel, ut: UtParams = DEFAULT_UT):
-    """Sensor-model wrapper; DOA residuals are wrapped into (-pi, pi]."""
-    return unscented_update_fn(prior, z, sensor.h, sensor.noise_std**2, sensor.angular, ut)
 
 
 def unscented_update_mixture(
@@ -265,7 +207,3 @@ def simulate_measurements(truth: list, sensor: SensorModel, rng: np.random.Gener
     n_clutter = rng.poisson(sensor.clutter_rate)
     out.extend(rng.uniform(lo, hi, size=n_clutter).tolist())
     return np.array(out, dtype=float)
-
-
-def clutter_intensity(sensor: SensorModel, z: float) -> float:
-    return sensor.clutter_intensity(z)

@@ -206,10 +206,6 @@ def test_criterion_5_update_exhaustive_vs_ranked():
             out = s[:, 0]
             return float(out[0]) if np.ndim(states) == 1 else out
 
-        def clutter_intensity(self, z):
-            lo, hi = self.measurement_space
-            return self.clutter_rate / (hi - lo) if lo <= z <= hi else 0.0
-
     def track(px, pos_var):
         return GaussianMixture.single(Gaussian([px, 0.0, 0.0, 0.0], np.diag([pos_var, 1.0, 1.0, 1.0])))
 

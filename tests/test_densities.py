@@ -64,13 +64,6 @@ class TestLabels:
         assert LabelSet((L2, L1)) == LabelSet((L1, L2))
         assert hash(LabelSet((L2, L1))) == hash(LabelSet((L1, L2)))
 
-    def test_set_operations(self):
-        a, b = LabelSet((L1, L2)), LabelSet((L2, L3))
-        assert a.intersection(b) == LabelSet((L2,))
-        assert a.union(b) == LabelSet((L1, L2, L3))
-        assert a.difference(b) == LabelSet((L1,))
-        assert LabelSet((L2,)).is_subset(a)
-
 
 class TestCardinalityMdglmb:
     def test_empty_only(self):

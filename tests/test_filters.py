@@ -66,10 +66,6 @@ def linear_px_sensor(noise_std=1.0, clutter_rate=1.0, detection_prob=0.9, space=
             out = s[:, 0]
             return float(out[0]) if np.ndim(states) == 1 else out
 
-        def clutter_intensity(self, z):
-            lo, hi = self.measurement_space
-            return self.clutter_rate / (hi - lo) if lo <= z <= hi else 0.0
-
     return _Linear()
 
 
@@ -159,14 +155,13 @@ class TestMdglmbPredict:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def psi_bar(track_pdf, ell, z_index, Z, sensor, detection_prob=None, clutter_intensity=None):
+def psi_bar(track_pdf, ell, z_index, Z, sensor):
     """Expected association likelihood and conditioned pdf for one track.
 
     z_index = 0 is the misdetection branch; z_index = j > 0 conditions on
     measurement Z[j-1].
     """
-    cfg = FilterConfig(detection_prob=detection_prob, clutter_intensity=clutter_intensity)
-    row = _PsiTable(Z, sensor, cfg, None).row(track_pdf, ell)
+    row = _PsiTable(Z, sensor, FilterConfig(), None).row(track_pdf, ell)
     return float(row.log_psi[z_index]), row.cond(z_index)
 
 
@@ -245,34 +240,34 @@ class TestLazyConditioning:
         # comparable terms is where the order of summation can show
         rng = np.random.default_rng(seed)
         if kind == "toa":
-            sensor = make_toa((-500.0, 300.0), noise_std=50.0, clutter_rate=5.0)
+            sensor = make_toa((-500.0, 300.0), noise_std=50.0, clutter_rate=5.0, detection_prob=pd)
             pdf = random_track_pdf(rng, int(rng.integers(1, 17)))
         elif kind == "doa":
-            sensor = make_doa((400.0, -700.0), clutter_rate=5.0)
+            sensor = make_doa((400.0, -700.0), clutter_rate=5.0, detection_prob=pd)
             pdf = random_track_pdf(rng, int(rng.integers(1, 17)))
         else:
-            sensor = linear_px_sensor(noise_std=0.3, clutter_rate=1.0, space=(-10.0, 10.0))
+            sensor = linear_px_sensor(noise_std=0.3, clutter_rate=1.0, detection_prob=pd, space=(-10.0, 10.0))
             pdf = random_track_pdf(rng, int(rng.integers(1, 17)), spread=0.3, pos_var=0.05)
         lo, hi = sensor.measurement_space
         near = [sensor.h(pdf.means[i]) for i in rng.integers(0, pdf.n_components, 12)]
         Z = np.concatenate([near, rng.uniform(lo, hi, int(rng.integers(0, 4)))])
-        table = _PsiTable(Z, sensor, FilterConfig(detection_prob=pd), None)
+        table = _PsiTable(Z, sensor, FilterConfig(), None)
         for label in (L1, L2):
             self.assert_rows_equal(table, pdf, label)
 
     @pytest.mark.parametrize("pd", [0.8, label_pd])
     def test_no_measurements(self, pd):
         rng = np.random.default_rng(3)
-        table = _PsiTable([], make_doa((0.0, 0.0)), FilterConfig(detection_prob=pd), None)
+        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), FilterConfig(), None)
         pdf = random_track_pdf(rng, 9)
         self.assert_rows_equal(table, pdf, L1)
         assert table.row(pdf, L1).log_psi.shape == (1,)
 
     def test_impossible_detection_returns_prior(self):
         rng = np.random.default_rng(5)
-        sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0)
+        sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0, detection_prob=label_pd)
         pdf = random_track_pdf(rng, 4)
-        row = _PsiTable([100.0, 900.0], sensor, FilterConfig(detection_prob=label_pd), None).row(pdf, L2)
+        row = _PsiTable([100.0, 900.0], sensor, FilterConfig(), None).row(pdf, L2)
         assert np.all(row.log_psi[1:] == -np.inf)
         assert row.cond(1) is pdf and row.cond(2) is pdf
 
@@ -305,7 +300,7 @@ class TestPsiBar:
         assert cond.means[0][0] == pytest.approx(5.0, abs=1e-9)
 
 
-def brute_force_update_weights(predicted, Z, sensor, cfg):
+def brute_force_update_weights(predicted, Z, sensor):
     """Exhaustive (I, theta) weight table computed straight from psi_bar."""
     out = {}
     for h in predicted.hypotheses:
@@ -316,8 +311,7 @@ def brute_force_update_weights(predicted, Z, sensor, cfg):
                 continue
             lw = h.log_weight
             for i, (lab, pdf) in enumerate(zip(h.label_set, h.pdfs)):
-                psi, _ = psi_bar(pdf, lab, theta[i], Z, sensor,
-                                 detection_prob=cfg.detection_prob, clutter_intensity=cfg.clutter_intensity)
+                psi, _ = psi_bar(pdf, lab, theta[i], Z, sensor)
                 lw += psi
             if math.isfinite(lw):
                 out[(h.label_set, theta)] = lw
@@ -373,7 +367,7 @@ class TestMdglmbUpdate:
         Z = [-4.0, 7.0]
         cfg = FilterConfig()
         post = mdglmb_update(d, Z, sensor, cfg, method="exhaustive")
-        table = brute_force_update_weights(d, Z, sensor, cfg)
+        table = brute_force_update_weights(d, Z, sensor)
         for h in post.hypotheses:
             expect = math.log(sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set))
             assert h.log_weight == pytest.approx(expect, abs=1e-10)

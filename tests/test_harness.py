@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distmot.harness import (
+    ALGORITHMS,
     run_experiment,
     run_trial,
     trial_seed_for,
@@ -10,7 +11,7 @@ from distmot.scenario import scenario_from_dict, with_overrides
 from distmot.wire import exchange_bytes_reference
 
 
-def tiny_scenario(**kw):
+def tiny_doc(**kw):
     doc = {
         "schema": 1,
         "name": "tiny",
@@ -42,7 +43,11 @@ def tiny_scenario(**kw):
         "seed": 7,
     }
     doc.update(kw)
-    return scenario_from_dict(doc)
+    return doc
+
+
+def tiny_scenario(**kw):
+    return scenario_from_dict(tiny_doc(**kw))
 
 
 class TestRunTrial:
@@ -83,6 +88,14 @@ class TestRunTrial:
         assert r.n_nodes == 1
         assert all(c == 1 for c in r.est_card[0][4:])
         assert r.bytes_reference == 0 and r.bytes_actual == 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_single_sensor_lock_on(self, algorithm):
+        # one node and no edges: each consensus round fuses the node with itself
+        s = tiny_scenario(sensors=[{"kind": "toa", "position": [0.0, 0.0], "noise_std": 100.0}], graph={"edges": []})
+        r = run_trial(s, algorithm, trial_seed_for(s.seed, 0))
+        assert r.n_nodes == 1
+        assert all(c == 1 for c in r.est_card[0][4:])
 
     def test_byte_accounting_additive(self):
         s = tiny_scenario()

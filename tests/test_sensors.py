@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distmot.gm import Gaussian, GaussianMixture
+from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, symmetrize
 from distmot.labels import Label
 from distmot.sensors import (
+    DEFAULT_UT,
     DegenerateGeometryError,
     UtParams,
     angle_residual,
-    clutter_intensity,
     make_doa,
     make_toa,
-    measure,
     simulate_measurements,
-    unscented_update,
-    unscented_update_fn,
     unscented_update_mixture,
     wrap_angle,
 )
@@ -27,19 +24,52 @@ def state(px, py, vx=0.0, vy=0.0):
     return np.array([px, vx, py, vy])
 
 
+def sigma_points(mean, cov, ut=DEFAULT_UT):
+    d = mean.size
+    lam, wm, wc = ut.weights(d)
+    scale = np.linalg.cholesky(symmetrize(cov) * (d + lam))
+    pts = np.empty((2 * d + 1, d))
+    pts[0] = mean
+    pts[1 : d + 1] = mean + scale.T
+    pts[d + 1 :] = mean - scale.T
+    return pts, wm, wc
+
+
+def unscented_update_fn(prior, z, h, noise_var, angular=False, ut=DEFAULT_UT):
+    """Reference single-Gaussian unscented update against a scalar
+    measurement function; DOA residuals are wrapped into (-pi, pi]."""
+    pts, wm, wc = sigma_points(prior.mean, prior.cov, ut)
+    hv = np.asarray(h(pts), dtype=float)
+    if angular:
+        # avoid averaging across the +-pi seam: fold about the central point
+        hv = hv[0] + angle_residual(hv, hv[0])
+    z_pred = float(wm @ hv)
+    dz = hv - z_pred
+    s = float(wc @ (dz * dz)) + noise_var
+    if s <= 0:
+        raise ValueError(f"innovation variance {s} <= 0")
+    cross = (wc[:, None] * (pts - prior.mean)).T @ dz
+    gain = cross / s
+    resid = angle_residual(z, z_pred) if angular else z - z_pred
+    post_mean = prior.mean + gain * resid
+    post_cov = symmetrize(prior.cov - np.outer(gain, gain) * s)
+    log_lik = -0.5 * (LOG_2PI + math.log(s) + resid * resid / s)
+    return Gaussian(post_mean, post_cov), float(log_lik)
+
+
 class TestMeasure:
     def test_toa_three_four_five(self):
         s = make_toa((0.0, 0.0))
-        assert measure(s, state(3000.0, 4000.0)) == pytest.approx(5000.0)
+        assert s.h(state(3000.0, 4000.0)) == pytest.approx(5000.0)
 
     def test_doa_straight_ahead(self):
         s = make_doa((0.0, 0.0))
-        assert measure(s, state(1000.0, 0.0)) == pytest.approx(0.0)
+        assert s.h(state(1000.0, 0.0)) == pytest.approx(0.0)
 
     def test_doa_wrap_seam(self):
         s = make_doa((0.0, 0.0))
-        above = measure(s, state(-1.0, 1e-9))
-        below = measure(s, state(-1.0, -1e-9))
+        above = s.h(state(-1.0, 1e-9))
+        below = s.h(state(-1.0, -1e-9))
         # residual across the seam wraps to ~0
         assert abs(angle_residual(above, below)) < 1e-6
         assert -math.pi < above <= math.pi and -math.pi < below <= math.pi
@@ -47,7 +77,7 @@ class TestMeasure:
     def test_doa_degenerate_position(self):
         s = make_doa((10.0, 20.0))
         with pytest.raises(DegenerateGeometryError):
-            measure(s, state(10.0, 20.0))
+            s.h(state(10.0, 20.0))
 
 
 class TestWrap:
@@ -90,20 +120,18 @@ class TestUnscentedUpdate:
             assert log_lik == pytest.approx(ll, abs=1e-8)
 
     def test_zero_innovation_keeps_mean(self):
-        from distmot.sensors import sigma_points
-
         prior = Gaussian([3000.0, 10.0, 4000.0, -5.0], np.diag([1e4, 100.0, 1e4, 100.0]))
         s = make_toa((0.0, 0.0))
         pts, wm, _ = sigma_points(prior.mean, prior.cov)
         z_pred = float(wm @ s.h(pts))
-        post, _ = unscented_update(prior, z_pred, s)
+        post, _ = unscented_update_fn(prior, z_pred, s.h, s.noise_std**2)
         assert np.allclose(post.mean, prior.mean, atol=1e-6)
 
     def test_innovation_floor_is_noise_variance(self):
         prior = Gaussian([3000.0, 0.0, 4000.0, 0.0], np.diag([1e4, 100.0, 1e4, 100.0]))
         s = make_toa((0.0, 0.0), noise_std=100.0)
         pts_var = []
-        _, log_lik = unscented_update(prior, measure(s, prior.mean), s)
+        _, log_lik = unscented_update_fn(prior, s.h(prior.mean), s.h, s.noise_std**2)
         # innovation variance >= noise variance: loglik at zero residual bounded
         assert log_lik <= -0.5 * math.log(2 * math.pi * 100.0**2)
 
@@ -123,7 +151,7 @@ class TestUnscentedUpdate:
         assert ok.all()
         for i, (_, g) in enumerate(gm.components()):
             for j, z in enumerate(zs):
-                post, lik = unscented_update(g, z, sensor)
+                post, lik = unscented_update_fn(g, z, sensor.h, sensor.noise_std**2, True)
                 assert ll[i, j] == pytest.approx(lik, abs=1e-10)
                 assert np.allclose(mus[i, j], post.mean, atol=1e-8)
                 assert np.allclose(covs[i], post.cov, atol=1e-8)
@@ -168,21 +196,6 @@ class TestSimulate:
         for _ in range(50):
             zs = simulate_measurements(truth, s, rng)
             assert ((zs > -math.pi) & (zs <= math.pi)).all()
-
-
-class TestClutterIntensity:
-    def test_doa_uniform(self):
-        s = make_doa((0.0, 0.0), clutter_rate=15.0)
-        assert clutter_intensity(s, 1.0) == pytest.approx(15.0 / (2 * math.pi))
-
-    def test_toa_uniform(self):
-        s = make_toa((0.0, 0.0), clutter_rate=5.0, r_max=70711.0)
-        assert clutter_intensity(s, 100.0) == pytest.approx(5.0 / 70711.0)
-
-    def test_outside_space(self):
-        s = make_toa((0.0, 0.0), clutter_rate=5.0, r_max=1000.0)
-        assert clutter_intensity(s, 2000.0) == 0.0
-        assert clutter_intensity(s, -1.0) == 0.0
 
 
 def test_ut_params_default_kappa():
