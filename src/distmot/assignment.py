@@ -1,10 +1,11 @@
 """K-best ranked assignment of tracks to measurements.
 
-Association maps send each track to a measurement index in 0..|Z| with 0
-meaning undetected; positive indices must be distinct. Ranking maximizes
-the summed per-track log score. Murty's partitioning over the optimal
-solutions of scipy's linear_sum_assignment generates the maps best-first;
-misdetection is modeled as one dummy column per track.
+An association map is a tuple theta sending track i to measurement index
+theta[i] in 0..|Z|, 0 meaning undetected; both searches produce distinct
+positive entries by construction. Ranking maximizes the summed per-track
+log score. Murty's partitioning over the optimal solutions of scipy's
+linear_sum_assignment generates the maps best-first; misdetection is
+modeled as one dummy column per track.
 """
 
 from __future__ import annotations
@@ -12,35 +13,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 BIG = 1e12
-
-
-@dataclass(frozen=True)
-class AssociationMap:
-    """theta(track i) = assignments[i]; 0 = undetected, j >= 1 = measurement j-1."""
-
-    assignments: tuple[int, ...]
-
-    def __post_init__(self):
-        positive = [a for a in self.assignments if a > 0]
-        if len(set(positive)) != len(positive):
-            raise ValueError(f"measurement assigned to more than one track in {self.assignments}")
-
-    def __len__(self):
-        return len(self.assignments)
-
-
-def enumerate_assignment_vectors(n_tracks: int, n_meas: int):
-    """All valid maps (tuples theta with distinct positive entries)."""
-    for theta in itertools.product(range(n_meas + 1), repeat=n_tracks):
-        positive = [t for t in theta if t > 0]
-        if len(set(positive)) == len(positive):
-            yield theta
 
 
 def _expand_cost(log_score: np.ndarray) -> np.ndarray:
@@ -81,7 +58,7 @@ def _dense_table(n: int, m1: int) -> np.ndarray:
     return theta
 
 
-def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[AssociationMap, float]]:
+def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
     """Vectorized enumeration over all theta vectors; for small instances."""
     n, m1 = log_score.shape
     theta = _dense_table(n, m1)
@@ -89,29 +66,12 @@ def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[AssociationMap, f
     finite = np.isfinite(scores)
     theta, scores = theta[finite], scores[finite]
     order = np.lexsort(tuple(theta[:, i] for i in reversed(range(n))) + (-scores,))[:k]
-    return [(AssociationMap(tuple(int(t) for t in theta[i])), float(scores[i])) for i in order]
+    return [(tuple(int(t) for t in theta[i]), float(scores[i])) for i in order]
 
 
-def ranked_assignments(log_score: np.ndarray, k: int, method: str = "auto") -> list[tuple[AssociationMap, float]]:
-    """Top-k association maps by total log score, descending.
-
-    log_score has shape (n_tracks, 1 + n_meas): column 0 is the misdetection
-    score, column j >= 1 the score of measurement j. Maps whose total score
-    is -inf (an impossible pairing) are not returned. Ties are ordered
-    lexicographically on the assignment vector. Returns every valid map when
-    k exceeds their number. method picks the search: "dense" enumerates all
-    vectors, "murty" partitions best-first, "auto" chooses by instance size.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    log_score = np.asarray(log_score, dtype=float)
-    n = log_score.shape[0]
-    if n == 0:
-        return [(AssociationMap(()), 0.0)]
-    m = log_score.shape[1] - 1
-    if method == "dense" or (method == "auto" and (m + 1) ** n <= 4096):
-        return _ranked_dense(log_score, k)
-
+def _ranked_murty(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
+    """Murty's best-first partitioning; stops once k maps are held."""
+    n, m = log_score.shape[0], log_score.shape[1] - 1
     cost0 = _expand_cost(log_score)
     first, total0 = _solve(cost0)
     if first is None:
@@ -143,20 +103,25 @@ def ranked_assignments(log_score: np.ndarray, k: int, method: str = "auto") -> l
             pinned[i, cols[i]] = cost[i, cols[i]]
 
     results.sort(key=lambda t: (-t[0], t[1]))
-    return [(AssociationMap(theta), score) for score, theta in results]
+    return [(theta, score) for score, theta in results]
 
 
-def exhaustive_assignments(log_score: np.ndarray) -> list[tuple[AssociationMap, float]]:
-    """All valid maps by full enumeration, same ordering contract as ranked."""
+def ranked_assignments(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
+    """Top-k association maps theta with their total log scores, descending.
+
+    log_score has shape (n_tracks, 1 + n_meas): column 0 is the misdetection
+    score, column j >= 1 the score of measurement j. Maps whose total score
+    is -inf (an impossible pairing) are not returned. Ties are ordered
+    lexicographically on theta. Returns every valid map when k exceeds their
+    number. Instances with at most 4096 candidate vectors are enumerated
+    densely, larger ones searched with Murty's method.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     log_score = np.asarray(log_score, dtype=float)
     n = log_score.shape[0]
     if n == 0:
-        return [(AssociationMap(()), 0.0)]
-    m = log_score.shape[1] - 1
-    out = []
-    for theta in enumerate_assignment_vectors(n, m):
-        score = _score_of(log_score, theta)
-        if np.isfinite(score):
-            out.append((score, theta))
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return [(AssociationMap(theta), score) for score, theta in out]
+        return [((), 0.0)]
+    if log_score.shape[1] ** n <= 4096:
+        return _ranked_dense(log_score, k)
+    return _ranked_murty(log_score, k)

@@ -1,9 +1,13 @@
-"""Labeled multi-object densities: LMB, marginalized delta-GLMB, delta-GLMB.
+"""Labeled multi-object densities: LMB and marginalized delta-GLMB.
 
 An M-delta-GLMB is a finite family {(w(I), {p(.,l;I)}_{l in I})} over label
 sets I with weights summing to 1; an LMB is {(r(l), p(.,l))} with independent
 per-label existence probabilities. Hypothesis weights are kept as
 log-weights and normalized with log-sum-exp.
+
+The records adopt their fields as given; each container only sorts its
+members into canonical label order. `check_density` holds every invariant
+and runs where a density enters from outside (`wire.density_from_dict`).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .gm import GaussianMixture, logsumexp
 from .labels import EMPTY_LABEL_SET, Label, LabelSet
 
 NORMALIZATION_ATOL = 1e-9
+PDF_ATOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,13 +30,6 @@ class LmbEntry:
     label: Label
     existence: float
     pdf: GaussianMixture
-
-    def __post_init__(self):
-        if not -1e-12 <= self.existence <= 1.0 + 1e-12:
-            raise ValueError(f"existence probability {self.existence} outside [0, 1] for {self.label}")
-        object.__setattr__(self, "existence", float(min(max(self.existence, 0.0), 1.0)))
-        if self.pdf.n_components and not self.pdf.is_normalized(atol=1e-6):
-            raise ValueError(f"pdf for {self.label} is not normalized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +39,7 @@ class LmbDensity:
     entries: tuple[LmbEntry, ...]
 
     def __post_init__(self):
-        ents = tuple(sorted(self.entries, key=lambda e: e.label))
-        labels = [e.label for e in ents]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in LMB density")
-        object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.label)))
 
     @classmethod
     def empty(cls) -> "LmbDensity":
@@ -75,41 +69,23 @@ class MdGlmbHypothesis:
     log_weight: float
     pdfs: tuple[GaussianMixture, ...]
 
-    def __post_init__(self):
-        if len(self.pdfs) != len(self.label_set):
-            raise ValueError(
-                f"hypothesis {self.label_set} carries {len(self.pdfs)} pdfs for {len(self.label_set)} labels"
-            )
-        for lab, pdf in zip(self.label_set, self.pdfs):
-            if not pdf.is_normalized(atol=1e-6):
-                raise ValueError(f"pdf for {lab} in hypothesis {self.label_set} is not normalized")
-
     def pdf(self, label: Label) -> GaussianMixture:
         return self.pdfs[self.label_set.labels.index(label)]
 
 
 @dataclass(frozen=True, eq=False)
 class MdGlmbDensity:
-    """Marginalized delta-GLMB: one (log weight, per-label pdfs) per label set."""
+    """Marginalized delta-GLMB: one (log weight, per-label pdfs) per label set,
+    stored sorted by label set."""
 
     hypotheses: tuple[MdGlmbHypothesis, ...]
 
     def __post_init__(self):
-        hyps = tuple(sorted(self.hypotheses, key=lambda h: h.label_set.labels))
-        keys = [h.label_set for h in hyps]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate label-set hypotheses")
-        if not hyps:
-            raise ValueError("density needs at least one hypothesis (the empty set is allowed)")
-        total = logsumexp([h.log_weight for h in hyps])
-        if abs(total) > NORMALIZATION_ATOL:
-            raise ValueError(f"hypothesis weights not normalized (log total {total:.3e})")
-        object.__setattr__(self, "hypotheses", hyps)
+        object.__setattr__(self, "hypotheses", tuple(sorted(self.hypotheses, key=lambda h: h.label_set.labels)))
 
     @classmethod
-    def from_unnormalized(cls, hyps: list[MdGlmbHypothesis] | list[tuple[LabelSet, float, tuple]]) -> "MdGlmbDensity":
-        items = [h if isinstance(h, MdGlmbHypothesis) else MdGlmbHypothesis(*h) for h in hyps]
-        finite = [h for h in items if math.isfinite(h.log_weight)]
+    def from_unnormalized(cls, hyps: list[MdGlmbHypothesis]) -> "MdGlmbDensity":
+        finite = [h for h in hyps if math.isfinite(h.log_weight)]
         if not finite:
             raise ValueError("no hypothesis with finite weight")
         total = logsumexp([h.log_weight for h in finite])
@@ -131,38 +107,55 @@ class MdGlmbDensity:
         out: set[Label] = set()
         for h in self.hypotheses:
             out.update(h.label_set)
-        return LabelSet(tuple(out))
+        return LabelSet(tuple(sorted(out)))
 
     def __len__(self):
         return len(self.hypotheses)
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaGlmbComponent:
-    label_set: LabelSet
-    assoc_tag: object
-    log_weight: float
-    pdfs: tuple[GaussianMixture, ...]
-
-    def pdf(self, label: Label) -> GaussianMixture:
-        return self.pdfs[self.label_set.labels.index(label)]
+def _check_increasing(labels: tuple[Label, ...], where) -> None:
+    for a, b in zip(labels, labels[1:]):
+        if not a < b:
+            raise ValueError(f"label {b} in {where} is duplicated or out of order")
 
 
-@dataclass(frozen=True, eq=False)
-class DeltaGlmbDensity:
-    """Delta-GLMB with explicit discrete association tags; weights normalized over (I, tag)."""
+def check_density(d: LmbDensity | MdGlmbDensity) -> None:
+    """Raise ValueError, naming the offending label set or label, unless d is
+    a valid labeled density.
 
-    components: tuple[DeltaGlmbComponent, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("delta-GLMB needs at least one component")
-        keys = [(c.label_set, c.assoc_tag) for c in self.components]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (label set, tag) components")
-        total = logsumexp([c.log_weight for c in self.components])
+    M-delta-GLMB: at least one hypothesis; label sets strictly increasing
+    (sorted and duplicate-free), as is the hypothesis order; one pdf per
+    label, each normalized within PDF_ATOL; log weights summing to 1 within
+    NORMALIZATION_ATOL. LMB: labels strictly increasing; existences in
+    [0, 1]; every non-empty pdf normalized within PDF_ATOL.
+    """
+    if isinstance(d, MdGlmbDensity):
+        if not d.hypotheses:
+            raise ValueError("density needs at least one hypothesis (the empty set is allowed)")
+        previous = None
+        for h in d.hypotheses:
+            labels = h.label_set.labels
+            _check_increasing(labels, h.label_set)
+            if previous is not None and not previous < labels:
+                raise ValueError(f"hypothesis {h.label_set} is duplicated or out of order")
+            previous = labels
+            if len(h.pdfs) != len(labels):
+                raise ValueError(f"hypothesis {h.label_set} carries {len(h.pdfs)} pdfs for {len(labels)} labels")
+            for lab, pdf in zip(labels, h.pdfs):
+                if not pdf.is_normalized(atol=PDF_ATOL):
+                    raise ValueError(f"pdf for {lab} in hypothesis {h.label_set} is not normalized")
+        total = logsumexp([h.log_weight for h in d.hypotheses])
         if abs(total) > NORMALIZATION_ATOL:
-            raise ValueError(f"component weights not normalized (log total {total:.3e})")
+            raise ValueError(f"hypothesis weights not normalized (log total {total:.3e})")
+    elif isinstance(d, LmbDensity):
+        _check_increasing(d.labels, "the LMB density")
+        for e in d.entries:
+            if not 0.0 <= e.existence <= 1.0:
+                raise ValueError(f"existence probability {e.existence} outside [0, 1] for {e.label}")
+            if e.pdf.n_components and not e.pdf.is_normalized(atol=PDF_ATOL):
+                raise ValueError(f"pdf for {e.label} is not normalized")
+    else:
+        raise TypeError(f"cannot check {type(d).__name__}")
 
 
 def cardinality_distribution_mdglmb(d: MdGlmbDensity) -> np.ndarray:
@@ -204,31 +197,14 @@ def intensity_mdglmb(d: MdGlmbDensity, label: Label) -> tuple[float, GaussianMix
     return float(math.exp(log_mass)), GaussianMixture._raw(lw, mu, cv)
 
 
-def marginalize_delta_glmb(d: DeltaGlmbDensity) -> MdGlmbDensity:
-    """Sum the discrete tags out of a delta-GLMB; preserves cardinality and intensity."""
-    groups: dict[LabelSet, list[DeltaGlmbComponent]] = {}
-    for c in d.components:
-        groups.setdefault(c.label_set, []).append(c)
-    hyps = []
-    for label_set, comps in groups.items():
-        log_w = float(logsumexp([c.log_weight for c in comps]))
-        pdfs = []
-        for i, _ in enumerate(label_set):
-            lw = np.concatenate([c.pdfs[i].log_w + (c.log_weight - log_w) for c in comps])
-            mu = np.concatenate([c.pdfs[i].means for c in comps])
-            cv = np.concatenate([c.pdfs[i].covs for c in comps])
-            pdfs.append(GaussianMixture(lw, mu, cv).normalized())
-        hyps.append(MdGlmbHypothesis(label_set, log_w, tuple(pdfs)))
-    return MdGlmbDensity.from_unnormalized(hyps)
-
-
 def lmb_from_mdglmb(d: MdGlmbDensity) -> LmbDensity:
     """LMB with the same per-label existence mass and intensity."""
     entries = []
     for label in d.label_space():
         mass, pdf = intensity_mdglmb(d, label)
         if pdf.n_components:
-            entries.append(LmbEntry(label, mass, pdf))
+            # the summed weights can round above 1
+            entries.append(LmbEntry(label, min(mass, 1.0), pdf))
     return LmbDensity(tuple(entries))
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assignment import exhaustive_assignments, ranked_assignments
+from .assignment import ranked_assignments
 from .densities import (
     LmbDensity,
     LmbEntry,
@@ -106,8 +106,8 @@ class BirthModel:
 
     def __post_init__(self):
         idx = [e.index for e in self.entries]
-        if len(set(idx)) != len(idx):
-            raise ValueError("birth indices must be distinct")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError("birth indices must be distinct and increasing")
         for i, a in enumerate(self.entries):
             for b in self.entries[i + 1 :]:
                 if a.pdf.n_components == b.pdf.n_components and np.array_equal(a.pdf.means, b.pdf.means) and np.array_equal(a.pdf.covs, b.pdf.covs):
@@ -270,6 +270,7 @@ def mdglmb_predict(
     for i, j in pairs:
         surv_key, surv_logw = surv[i]
         b_key, b_logw, b_pdfs = birth_sets[j]
+        # survivors were born before step k, so they sort before its births
         label_set = LabelSet(surv_key.labels + b_key.labels)
         pdfs = []
         for lab in label_set:
@@ -449,16 +450,14 @@ def mdglmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    method: str = "ranked",
     diagnostics: UpdateDiagnostics | None = None,
 ) -> MdGlmbDensity:
     """Measurement update with per-hypothesis ranked assignment, then
     marginalization over association maps within each label set.
 
-    method "ranked" keeps the top assignments_per_hypothesis maps per
-    hypothesis; "exhaustive" enumerates every valid map (small instances
-    only). Weights are normalized jointly over all retained (I, theta)
-    pairs before hypotheses are truncated to max_hypotheses.
+    Each hypothesis keeps its top assignments_per_hypothesis maps. Weights
+    are normalized jointly over all retained (I, theta) pairs before
+    hypotheses are truncated to max_hypotheses.
     """
     table = _PsiTable(Z, sensor, cfg, diagnostics)
     m = table.Z.size
@@ -471,12 +470,8 @@ def mdglmb_update(
         if not math.isfinite(h.log_weight):
             continue
         log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, m + 1))
-        if method == "exhaustive":
-            maps = exhaustive_assignments(log_score)
-        else:
-            maps = ranked_assignments(log_score, cfg.assignments_per_hypothesis)
-        for amap, score in maps:
-            entries.append((hi, amap.assignments, h.log_weight + score))
+        for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis):
+            entries.append((hi, theta, h.log_weight + score))
 
     if not entries:
         raise FilterDegeneracyError("update produced no feasible association for any hypothesis")

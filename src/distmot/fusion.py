@@ -7,14 +7,16 @@ masses eta^(L)(l) = integral prod_i p_i(x, l; L)^{w_i} dx, taken from the
 Gaussian-mixture fusion itself so weight and pdf fusion stay consistent.
 For LMBs the fused existence is r_tilde / (q_tilde + r_tilde) with
 q_tilde = prod (1 - r_i)^{w_i} and r_tilde = eta * prod r_i^{w_i}.
+
+Fusion weights are taken as given: consensus weights enter through
+`network.ConsensusMatrix`, which checks that they are non-negative and
+that each row sums to 1.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-
-import numpy as np
 
 from .densities import (
     LmbDensity,
@@ -31,15 +33,6 @@ class FusionDegenerateWarning(UserWarning):
     """No hypothesis survived the intersection; fused density fell back to empty."""
 
 
-def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any():
-        raise ValueError("fusion weights must be non-negative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fusion weights must sum to 1, got {w.sum()!r}")
-    return w
-
-
 def fuse_mdglmb(
     inputs: list[tuple[MdGlmbDensity, float]],
     merge_thresh: float | None = None,
@@ -51,7 +44,6 @@ def fuse_mdglmb(
     mean). If no common hypothesis exists the fused density degenerates to
     the empty-set hypothesis and a FusionDegenerateWarning is emitted.
     """
-    _check_weights([w for _, w in inputs])
     active = [(d, w) for d, w in inputs if w > 0.0]
     if len(active) == 1:
         return active[0][0]
@@ -96,7 +88,6 @@ def fuse_lmb(
     zero (its geometric-mean existence product vanishes) and is dropped, so
     a track must be present at every in-neighbour to survive.
     """
-    _check_weights([w for _, w in inputs])
     active = [(d, w) for d, w in inputs if w > 0.0]
     if len(active) == 1:
         return active[0][0]

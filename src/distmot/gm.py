@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -49,10 +47,6 @@ PD_RTOL = 1e-12
 
 class PositiveDefiniteError(ValueError):
     """Covariance is not symmetric positive-definite within tolerance."""
-
-
-class DegenerateExponentError(ValueError):
-    """Chernoff exponent of 0 or 1 makes a beta factor undefined."""
 
 
 class EmptyFusionError(ValueError):
@@ -102,80 +96,6 @@ class Gaussian:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def logpdf(self, x) -> np.ndarray:
-        return gaussian_logpdf(np.asarray(x, dtype=float), self.mean, self.cov)
-
-
-@dataclass(frozen=True, eq=False)
-class InformationPair:
-    """Natural-parameter form (P^-1, P^-1 m) of a Gaussian."""
-
-    info_matrix: np.ndarray
-    info_vector: np.ndarray
-
-    def __post_init__(self):
-        m = symmetrize(np.array(self.info_matrix, dtype=float))
-        v = np.array(self.info_vector, dtype=float).reshape(-1)
-        if m.shape != (v.size, v.size):
-            raise ValueError("information matrix/vector shapes disagree")
-        m.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "info_matrix", m)
-        object.__setattr__(self, "info_vector", v)
-
-    @classmethod
-    def from_gaussian(cls, g: Gaussian) -> "InformationPair":
-        info = np.linalg.inv(g.cov)
-        return cls(info, info @ g.mean)
-
-    def to_gaussian(self) -> Gaussian:
-        cov = np.linalg.inv(self.info_matrix)
-        return Gaussian(cov @ self.info_vector, cov)
-
-
-def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """log N(x; mean, cov); x may be (d,) or (m, d)."""
-    d = mean.size
-    sign, logdet = np.linalg.slogdet(symmetrize(cov))
-    if sign <= 0:
-        raise PositiveDefiniteError("covariance has non-positive determinant")
-    dx = np.atleast_2d(x) - mean
-    sol = np.linalg.solve(cov, dx.T).T
-    quad = np.einsum("ij,ij->i", dx, sol)
-    out = -0.5 * (d * LOG_2PI + logdet + quad)
-    return out[0] if np.ndim(x) == 1 else out
-
-
-def gaussian_product(a: Gaussian, b: Gaussian) -> Gaussian:
-    """Normalized pointwise product (the + of information pairs)."""
-    ia, ib = InformationPair.from_gaussian(a), InformationPair.from_gaussian(b)
-    return InformationPair(ia.info_matrix + ib.info_matrix, ia.info_vector + ib.info_vector).to_gaussian()
-
-
-def gaussian_power(g: Gaussian, alpha: float) -> Gaussian:
-    """Normalized power p^alpha, alpha > 0 (information pair scaled by alpha)."""
-    if alpha <= 0:
-        raise ValueError("power exponent must be positive")
-    return Gaussian(g.mean, g.cov / alpha)
-
-
-def gaussian_ci(a: Gaussian, b: Gaussian, omega: float) -> Gaussian:
-    """Covariance intersection: weighted arithmetic mean of information pairs.
-
-    Returns the Gaussian with covariance [w*Pa^-1 + (1-w)*Pb^-1]^-1 and the
-    correspondingly averaged mean.
-    """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
-    ia, ib = InformationPair.from_gaussian(a), InformationPair.from_gaussian(b)
-    info = omega * ia.info_matrix + (1.0 - omega) * ib.info_matrix
-    vec = omega * ia.info_vector + (1.0 - omega) * ib.info_vector
-    return InformationPair(info, vec).to_gaussian()
-
 
 def log_beta(omega: float, cov: np.ndarray) -> float:
     """log of the Gaussian-power normalizer beta(w, P); batched over leading axes."""
@@ -184,27 +104,6 @@ def log_beta(omega: float, cov: np.ndarray) -> float:
     if np.any(sign <= 0):
         raise PositiveDefiniteError("covariance has non-positive determinant in beta factor")
     return 0.5 * (1.0 - omega) * (d * LOG_2PI + logdet) - 0.5 * d * math.log(omega)
-
-
-def chernoff_weight(a: Gaussian, b: Gaussian, log_alpha_a: float, log_alpha_b: float, omega: float) -> float:
-    """Log weight of the fused component for the pair (a, b) at exponent omega.
-
-    log alpha_bar = w*log(alpha_a) + (1-w)*log(alpha_b)
-                    + log beta(w, Pa) + log beta(1-w, Pb)
-                    + log N(mu_a - mu_b; 0, Pa/w + Pb/(1-w))
-    """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
-    if omega in (0.0, 1.0):
-        raise DegenerateExponentError("chernoff_weight undefined at omega in {0, 1}; caller must special-case")
-    sep_cov = a.cov / omega + b.cov / (1.0 - omega)
-    return (
-        omega * log_alpha_a
-        + (1.0 - omega) * log_alpha_b
-        + log_beta(omega, a.cov)
-        + log_beta(1.0 - omega, b.cov)
-        + float(gaussian_logpdf(a.mean - b.mean, np.zeros(a.dim), sep_cov))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,16 +162,6 @@ class GaussianMixture:
         return cls(np.array([log_w]), g.mean[None, :], g.cov[None, :, :])
 
     @classmethod
-    def from_components(cls, components: Iterable[tuple[float, Gaussian]]) -> "GaussianMixture":
-        comps = list(components)
-        if not comps:
-            raise ValueError("from_components needs at least one component; use empty()")
-        lw = np.array([c[0] for c in comps])
-        mu = np.stack([c[1].mean for c in comps])
-        cv = np.stack([c[1].cov for c in comps])
-        return cls(lw, mu, cv)
-
-    @classmethod
     def empty(cls, dim: int) -> "GaussianMixture":
         return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
 
@@ -283,10 +172,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def components(self) -> Iterator[tuple[float, Gaussian]]:
-        for i in range(self.n_components):
-            yield float(self.log_w[i]), Gaussian(self.means[i], self.covs[i])
 
     def total_log_weight(self) -> float:
         return self._log_total
@@ -300,26 +185,6 @@ class GaussianMixture:
         if not math.isfinite(self._log_total):
             raise ValueError("cannot normalize a zero-mass mixture")
         return GaussianMixture._raw(self.log_w - self._log_total, self.means, self.covs, 0.0)
-
-    def pdf(self, x) -> np.ndarray:
-        """Mixture density at x; x may be scalar-state (m, d) or (d,)."""
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.n_components == 0:
-            out = np.zeros(xs.shape[0])
-            return out[0] if np.ndim(x) == 1 else out
-        per = np.stack([self.log_w[i] + gaussian_logpdf(xs, self.means[i], self.covs[i]) for i in range(self.n_components)])
-        out = np.exp(logsumexp(per, axis=0))
-        return out[0] if np.ndim(x) == 1 else out
-
-    def mean(self) -> np.ndarray:
-        w = np.exp(self.log_w - self.total_log_weight())
-        return w @ self.means
-
-    def covariance(self) -> np.ndarray:
-        w = np.exp(self.log_w - self.total_log_weight())
-        m = w @ self.means
-        dx = self.means - m
-        return np.einsum("i,ijk->jk", w, self.covs) + np.einsum("i,ij,ik->jk", w, dx, dx)
 
     def argmax_component(self) -> int:
         """Index of the heaviest component (first on ties)."""
@@ -496,11 +361,6 @@ def gm_chernoff_multi(
     """
     if not inputs:
         raise ValueError("need at least one fusion input")
-    weights = np.array([w for _, w in inputs], dtype=float)
-    if (weights < 0).any():
-        raise ValueError("fusion weights must be non-negative")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fusion weights must sum to 1, got {weights.sum()!r}")
     acc, w_acc = inputs[0]
     log_norm = 0.0
     acc_is_fused = False

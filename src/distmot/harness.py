@@ -80,7 +80,8 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
 
     Every algorithm runs one recursion per step: a local step at each node,
     then the scenario's consensus rounds, then extraction. Centralized is a
-    single node that receives every sensor's scan and runs no round.
+    single node that receives every sensor's scan and runs no round; nor
+    does a single sensor, whose graph has no edge.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -109,10 +110,12 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
             return centralized_mdglmb_step(d, motion, birth, k, scans, cfg, diag)
 
     centralized = algorithm == "centralized-mdglmb"
-    if centralized:
-        n_nodes, rounds, omega = 1, 0, None
+    n_nodes = 1 if centralized else len(scenario.sensors)
+    # a graph without an edge has nothing to exchange: no consensus round
+    if centralized or not graph.arcs:
+        rounds, omega = 0, None
     else:
-        n_nodes, rounds, omega = len(scenario.sensors), scenario.consensus_steps, metropolis_weights(graph)
+        rounds, omega = scenario.consensus_steps, metropolis_weights(graph)
     densities = [empty() for _ in range(n_nodes)]
 
     est_card = [[0] * scenario.steps for _ in range(n_nodes)]

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
-class DuplicateLabelError(ValueError):
-    """A label set was constructed from a list containing duplicates."""
-
-
 @dataclass(frozen=True, order=True)
 class Label:
     """Ordered pair (birth step k, per-step index i); total order is lexicographic."""
@@ -32,15 +28,12 @@ class Label:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Sorted, duplicate-free tuple of labels; equality is set equality."""
+    """Label set stored as a sorted, duplicate-free tuple, so equality is set
+    equality. The tuple is adopted as given: callers pass it sorted and
+    duplicate-free, and `densities.check_density` checks it where a density
+    enters from outside."""
 
     labels: tuple[Label, ...]
-
-    def __post_init__(self):
-        labs = tuple(sorted(self.labels))
-        if len(set(labs)) != len(labs):
-            raise DuplicateLabelError(f"duplicate labels in {labs}")
-        object.__setattr__(self, "labels", labs)
 
     def __iter__(self) -> Iterator[Label]:
         return iter(self.labels)

@@ -1,4 +1,4 @@
-"""Sensor-network graph, Metropolis consensus weights, and convergence checks."""
+"""Sensor-network graph and Metropolis consensus weights."""
 
 from __future__ import annotations
 
@@ -97,9 +97,6 @@ class ConsensusMatrix:
     def weight(self, i, j) -> float:
         return float(self.weights[self.nodes.index(i), self.nodes.index(j)])
 
-    def is_doubly_stochastic(self, atol: float = 1e-12) -> bool:
-        return bool(np.abs(self.weights.sum(axis=0) - 1.0).max() <= atol)
-
 
 def metropolis_weights(g: NetworkGraph) -> ConsensusMatrix:
     """Degree-based weights making the matrix doubly stochastic on undirected graphs.
@@ -124,18 +121,3 @@ def metropolis_weights(g: NetworkGraph) -> ConsensusMatrix:
             w[i, idx[other]] = 1.0 / (1.0 + max(deg[node], deg[other]))
         w[i, i] = 1.0 - w[i].sum()
     return ConsensusMatrix(tuple(g.nodes), w)
-
-
-def is_primitive(omega: ConsensusMatrix) -> bool:
-    """Wielandt bound: a non-negative n x n matrix is primitive iff
-    A^(n^2 - 2n + 2) is strictly positive."""
-    n = len(omega.nodes)
-    power = np.linalg.matrix_power(omega.weights, n * n - 2 * n + 2)
-    return bool((power > 0).all())
-
-
-def consensus_matrix_power_check(omega: ConsensusMatrix, n: int) -> float:
-    """Max absolute deviation of the entries of Omega^n from 1/|N|."""
-    target = 1.0 / len(omega.nodes)
-    power = np.linalg.matrix_power(omega.weights, n)
-    return float(np.abs(power - target).max())

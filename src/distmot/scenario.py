@@ -59,10 +59,6 @@ class Scenario:
     def motion_model(self) -> MotionModel:
         return ncv_motion_model(self.sampling_interval, self.process_noise_std, self.survival_prob)
 
-    def area_diagonal(self) -> float:
-        xmin, xmax, ymin, ymax = self.area
-        return math.hypot(xmax - xmin, ymax - ymin)
-
 
 def _require(doc: dict, key: str, where: str):
     if key not in doc:

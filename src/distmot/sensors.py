@@ -100,14 +100,6 @@ class SensorModel:
         return float(out[0]) if np.ndim(states) == 1 else out
 
 
-def make_toa(position, noise_std=100.0, clutter_rate=0.0, detection_prob=0.99, r_max=70711.0) -> SensorModel:
-    return SensorModel("toa", tuple(position), noise_std, clutter_rate, detection_prob, (0.0, r_max))
-
-
-def make_doa(position, noise_std=math.radians(1.0), clutter_rate=0.0, detection_prob=0.99) -> SensorModel:
-    return SensorModel("doa", tuple(position), noise_std, clutter_rate, detection_prob, (-math.pi, math.pi))
-
-
 def unscented_update_mixture(
     gm: GaussianMixture,
     zs: np.ndarray,

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis
+from .densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis, check_density
 from .gm import GaussianMixture
 from .labels import Label, LabelSet
 
@@ -70,25 +70,36 @@ def density_to_json(d: LmbDensity | MdGlmbDensity) -> str:
     return json.dumps(density_to_dict(d), separators=(",", ":"))
 
 
+def _existence(r) -> float:
+    """Values within 1e-12 of [0, 1] are rounding and are clamped into it;
+    `check_density` rejects the rest."""
+    return float(min(max(r, 0.0), 1.0)) if -1e-12 <= r <= 1.0 + 1e-12 else r
+
+
 def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
+    """Decode and check a density document; the only way a density enters
+    from outside."""
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
     if doc["kind"] == "lmb":
-        return LmbDensity(
+        d = LmbDensity(
             tuple(
-                LmbEntry(Label(*e["label"]), e["existence"], _pdf_from_dict(e["pdf"]))
+                LmbEntry(Label(*e["label"]), _existence(e["existence"]), _pdf_from_dict(e["pdf"]))
                 for e in doc["entries"]
             )
         )
-    if doc["kind"] == "mdglmb":
+    elif doc["kind"] == "mdglmb":
         hyps = []
         for h in doc["hypotheses"]:
-            labels = LabelSet(tuple(Label(*l) for l in h["labels"]))
+            labels = LabelSet(tuple(sorted(Label(*l) for l in h["labels"])))
             by_label = {tuple(t["label"]): _pdf_from_dict(t["pdf"]) for t in h["tracks"]}
             pdfs = tuple(by_label[l.as_pair()] for l in labels)
             hyps.append(MdGlmbHypothesis(labels, h["log_weight"], pdfs))
-        return MdGlmbDensity(tuple(hyps))
-    raise ValueError(f"unknown density kind {doc['kind']!r}")
+        d = MdGlmbDensity(tuple(hyps))
+    else:
+        raise ValueError(f"unknown density kind {doc['kind']!r}")
+    check_density(d)
+    return d
 
 
 def density_from_json(text: str) -> LmbDensity | MdGlmbDensity:

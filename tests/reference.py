@@ -1,0 +1,240 @@
+"""Reference implementations the tests check the package against.
+
+Closed-form single-Gaussian algebra, mixture moments and pointwise
+densities, the delta-GLMB with explicit association tags and its
+marginalization, consensus-matrix convergence checks, and TOA/DOA sensor
+factories. The package itself never needs them, so they live with the
+tests.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from distmot.densities import NORMALIZATION_ATOL, MdGlmbDensity, MdGlmbHypothesis
+from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, PositiveDefiniteError, log_beta, logsumexp, symmetrize
+from distmot.labels import Label, LabelSet
+from distmot.network import ConsensusMatrix
+from distmot.sensors import SensorModel
+
+
+# --- single Gaussians -------------------------------------------------------
+
+
+class DegenerateExponentError(ValueError):
+    """Chernoff exponent of 0 or 1 makes a beta factor undefined."""
+
+
+@dataclass(frozen=True, eq=False)
+class InformationPair:
+    """Natural-parameter form (P^-1, P^-1 m) of a Gaussian."""
+
+    info_matrix: np.ndarray
+    info_vector: np.ndarray
+
+    def __post_init__(self):
+        m = symmetrize(np.array(self.info_matrix, dtype=float))
+        v = np.array(self.info_vector, dtype=float).reshape(-1)
+        if m.shape != (v.size, v.size):
+            raise ValueError("information matrix/vector shapes disagree")
+        m.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "info_matrix", m)
+        object.__setattr__(self, "info_vector", v)
+
+    @classmethod
+    def from_gaussian(cls, g: Gaussian) -> "InformationPair":
+        info = np.linalg.inv(g.cov)
+        return cls(info, info @ g.mean)
+
+    def to_gaussian(self) -> Gaussian:
+        cov = np.linalg.inv(self.info_matrix)
+        return Gaussian(cov @ self.info_vector, cov)
+
+
+def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """log N(x; mean, cov); x may be (d,) or (m, d)."""
+    d = mean.size
+    sign, logdet = np.linalg.slogdet(symmetrize(cov))
+    if sign <= 0:
+        raise PositiveDefiniteError("covariance has non-positive determinant")
+    dx = np.atleast_2d(x) - mean
+    sol = np.linalg.solve(cov, dx.T).T
+    quad = np.einsum("ij,ij->i", dx, sol)
+    out = -0.5 * (d * LOG_2PI + logdet + quad)
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def gaussian_product(a: Gaussian, b: Gaussian) -> Gaussian:
+    """Normalized pointwise product (the + of information pairs)."""
+    ia, ib = InformationPair.from_gaussian(a), InformationPair.from_gaussian(b)
+    return InformationPair(ia.info_matrix + ib.info_matrix, ia.info_vector + ib.info_vector).to_gaussian()
+
+
+def gaussian_power(g: Gaussian, alpha: float) -> Gaussian:
+    """Normalized power p^alpha, alpha > 0 (information pair scaled by alpha)."""
+    if alpha <= 0:
+        raise ValueError("power exponent must be positive")
+    return Gaussian(g.mean, g.cov / alpha)
+
+
+def gaussian_ci(a: Gaussian, b: Gaussian, omega: float) -> Gaussian:
+    """Covariance intersection: weighted arithmetic mean of information pairs.
+
+    Returns the Gaussian with covariance [w*Pa^-1 + (1-w)*Pb^-1]^-1 and the
+    correspondingly averaged mean.
+    """
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    ia, ib = InformationPair.from_gaussian(a), InformationPair.from_gaussian(b)
+    info = omega * ia.info_matrix + (1.0 - omega) * ib.info_matrix
+    vec = omega * ia.info_vector + (1.0 - omega) * ib.info_vector
+    return InformationPair(info, vec).to_gaussian()
+
+
+def chernoff_weight(a: Gaussian, b: Gaussian, log_alpha_a: float, log_alpha_b: float, omega: float) -> float:
+    """Log weight of the fused component for the pair (a, b) at exponent omega.
+
+    log alpha_bar = w*log(alpha_a) + (1-w)*log(alpha_b)
+                    + log beta(w, Pa) + log beta(1-w, Pb)
+                    + log N(mu_a - mu_b; 0, Pa/w + Pb/(1-w))
+    """
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    if omega in (0.0, 1.0):
+        raise DegenerateExponentError("chernoff_weight undefined at omega in {0, 1}; caller must special-case")
+    sep_cov = a.cov / omega + b.cov / (1.0 - omega)
+    return (
+        omega * log_alpha_a
+        + (1.0 - omega) * log_alpha_b
+        + log_beta(omega, a.cov)
+        + log_beta(1.0 - omega, b.cov)
+        + float(gaussian_logpdf(a.mean - b.mean, np.zeros(a.mean.size), sep_cov))
+    )
+
+
+# --- Gaussian mixtures ------------------------------------------------------
+
+
+def gm_from_components(components: Iterable[tuple[float, Gaussian]]) -> GaussianMixture:
+    comps = list(components)
+    if not comps:
+        raise ValueError("gm_from_components needs at least one component; use GaussianMixture.empty()")
+    lw = np.array([c[0] for c in comps])
+    mu = np.stack([c[1].mean for c in comps])
+    cv = np.stack([c[1].cov for c in comps])
+    return GaussianMixture(lw, mu, cv)
+
+
+def gm_components(p: GaussianMixture) -> Iterator[tuple[float, Gaussian]]:
+    for i in range(p.n_components):
+        yield float(p.log_w[i]), Gaussian(p.means[i], p.covs[i])
+
+
+def gm_pdf(p: GaussianMixture, x) -> np.ndarray:
+    """Mixture density at x; x may be scalar-state (m, d) or (d,)."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    if p.n_components == 0:
+        out = np.zeros(xs.shape[0])
+        return out[0] if np.ndim(x) == 1 else out
+    per = np.stack([p.log_w[i] + gaussian_logpdf(xs, p.means[i], p.covs[i]) for i in range(p.n_components)])
+    out = np.exp(logsumexp(per, axis=0))
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def gm_mean(p: GaussianMixture) -> np.ndarray:
+    w = np.exp(p.log_w - p.total_log_weight())
+    return w @ p.means
+
+
+def gm_covariance(p: GaussianMixture) -> np.ndarray:
+    w = np.exp(p.log_w - p.total_log_weight())
+    m = w @ p.means
+    dx = p.means - m
+    return np.einsum("i,ijk->jk", w, p.covs) + np.einsum("i,ij,ik->jk", w, dx, dx)
+
+
+# --- delta-GLMB with association tags -----------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class DeltaGlmbComponent:
+    label_set: LabelSet
+    assoc_tag: object
+    log_weight: float
+    pdfs: tuple[GaussianMixture, ...]
+
+    def pdf(self, label: Label) -> GaussianMixture:
+        return self.pdfs[self.label_set.labels.index(label)]
+
+
+@dataclass(frozen=True, eq=False)
+class DeltaGlmbDensity:
+    """Delta-GLMB with explicit discrete association tags; weights normalized over (I, tag)."""
+
+    components: tuple[DeltaGlmbComponent, ...]
+
+    def __post_init__(self):
+        if not self.components:
+            raise ValueError("delta-GLMB needs at least one component")
+        keys = [(c.label_set, c.assoc_tag) for c in self.components]
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate (label set, tag) components")
+        total = logsumexp([c.log_weight for c in self.components])
+        if abs(total) > NORMALIZATION_ATOL:
+            raise ValueError(f"component weights not normalized (log total {total:.3e})")
+
+
+def marginalize_delta_glmb(d: DeltaGlmbDensity) -> MdGlmbDensity:
+    """Sum the discrete tags out of a delta-GLMB; preserves cardinality and intensity."""
+    groups: dict[LabelSet, list[DeltaGlmbComponent]] = {}
+    for c in d.components:
+        groups.setdefault(c.label_set, []).append(c)
+    hyps = []
+    for label_set, comps in groups.items():
+        log_w = float(logsumexp([c.log_weight for c in comps]))
+        pdfs = []
+        for i, _ in enumerate(label_set):
+            lw = np.concatenate([c.pdfs[i].log_w + (c.log_weight - log_w) for c in comps])
+            mu = np.concatenate([c.pdfs[i].means for c in comps])
+            cv = np.concatenate([c.pdfs[i].covs for c in comps])
+            pdfs.append(GaussianMixture(lw, mu, cv).normalized())
+        hyps.append(MdGlmbHypothesis(label_set, log_w, tuple(pdfs)))
+    return MdGlmbDensity.from_unnormalized(hyps)
+
+
+# --- consensus matrices -------------------------------------------------------
+
+
+def is_doubly_stochastic(omega: ConsensusMatrix, atol: float = 1e-12) -> bool:
+    return bool(np.abs(omega.weights.sum(axis=0) - 1.0).max() <= atol)
+
+
+def is_primitive(omega: ConsensusMatrix) -> bool:
+    """Wielandt bound: a non-negative n x n matrix is primitive iff
+    A^(n^2 - 2n + 2) is strictly positive."""
+    n = len(omega.nodes)
+    power = np.linalg.matrix_power(omega.weights, n * n - 2 * n + 2)
+    return bool((power > 0).all())
+
+
+def consensus_matrix_power_check(omega: ConsensusMatrix, n: int) -> float:
+    """Max absolute deviation of the entries of Omega^n from 1/|N|."""
+    target = 1.0 / len(omega.nodes)
+    power = np.linalg.matrix_power(omega.weights, n)
+    return float(np.abs(power - target).max())
+
+
+# --- sensors ----------------------------------------------------------------
+
+
+def make_toa(position, noise_std=100.0, clutter_rate=0.0, detection_prob=0.99, r_max=70711.0) -> SensorModel:
+    return SensorModel("toa", tuple(position), noise_std, clutter_rate, detection_prob, (0.0, r_max))
+
+
+def make_doa(position, noise_std=math.radians(1.0), clutter_rate=0.0, detection_prob=0.99) -> SensorModel:
+    return SensorModel("doa", tuple(position), noise_std, clutter_rate, detection_prob, (-math.pi, math.pi))

@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import LmbDensity, MdGlmbDensity
-from .labels import Label, LabelSet
+from distmot.densities import LmbDensity, MdGlmbDensity
+from distmot.labels import Label, LabelSet
+from reference import gm_pdf
 
 # evaluator(labels, X) -> density values at the labeled sets
 # {(X[j, 0], labels[0]), ..., (X[j, n-1], labels[n-1])} for each grid row j.
@@ -75,16 +76,12 @@ def mdglmb_evaluator(d: MdGlmbDensity) -> SetDensityEvaluator:
     """Pointwise multi-object density of a marginalized delta-GLMB (scalar states)."""
 
     def evaluate(labels: tuple[Label, ...], points: np.ndarray) -> np.ndarray:
-        try:
-            key = LabelSet(labels)
-        except ValueError:
-            return np.zeros(points.shape[0])
-        h = d.hypothesis(key)
-        if h is None:
+        h = d.hypothesis(LabelSet(tuple(sorted(labels))))
+        if h is None or len(set(labels)) != len(labels):
             return np.zeros(points.shape[0])
         out = np.full(points.shape[0], np.exp(h.log_weight))
         for i, lab in enumerate(labels):
-            out *= h.pdf(lab).pdf(points[:, i : i + 1])
+            out *= gm_pdf(h.pdf(lab), points[:, i : i + 1])
         return out
 
     return evaluate
@@ -105,7 +102,7 @@ def lmb_evaluator(d: LmbDensity) -> SetDensityEvaluator:
             entry = d.entry(lab)
             if entry is None:
                 return np.zeros(points.shape[0])
-            out *= entry.existence * entry.pdf.pdf(points[:, i : i + 1])
+            out *= entry.existence * gm_pdf(entry.pdf, points[:, i : i + 1])
         return out
 
     return evaluate

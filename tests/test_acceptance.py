@@ -13,31 +13,34 @@ import time
 import numpy as np
 import pytest
 
+from distmot import filters
 from distmot.densities import (
-    DeltaGlmbComponent,
-    DeltaGlmbDensity,
     LmbDensity,
     LmbEntry,
     MdGlmbDensity,
     MdGlmbHypothesis,
     cardinality_distribution_mdglmb,
     intensity_mdglmb,
-    marginalize_delta_glmb,
 )
 from distmot.filters import FilterConfig, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.harness import run_experiment, run_trial, trial_seed_for
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
-from distmot.network import NetworkGraph, consensus_matrix_power_check, metropolis_weights
+from distmot.network import NetworkGraph, metropolis_weights
 from distmot.ospa import ospa
 from distmot.scenario import load_scenario, with_overrides
-from distmot.set_integral import (
-    geometric_mean_evaluator,
-    mdglmb_evaluator,
-    subset_integral,
-    subset_moments,
+from reference import (
+    DeltaGlmbComponent,
+    DeltaGlmbDensity,
+    consensus_matrix_power_check,
+    gm_covariance,
+    gm_mean,
+    gm_pdf,
+    marginalize_delta_glmb,
 )
+from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
+from test_assignment import exhaustive_assignments
 
 L1, L2 = Label(0, 1), Label(0, 2)
 
@@ -85,8 +88,8 @@ def test_criterion_1_mdglmb_fusion_closure_oracle():
         _, means, variances = subset_moments(ev, (L1, L2), grid)
         h = fused.hypothesis(LabelSet((L1, L2)))
         for i in range(2):
-            worst = max(worst, abs(h.pdfs[i].mean()[0] - means[i]) / max(abs(means[i]), 1e-6))
-            worst = max(worst, abs(h.pdfs[i].covariance()[0, 0] - variances[i]) / variances[i])
+            worst = max(worst, abs(gm_mean(h.pdfs[i])[0] - means[i]) / max(abs(means[i]), 1e-6))
+            worst = max(worst, abs(gm_covariance(h.pdfs[i])[0, 0] - variances[i]) / variances[i])
     elapsed = time.perf_counter() - start
     ok = worst < 1e-3 and elapsed < 10.0
     report(1, "M-delta-GLMB fusion vs set-integral grid", ok,
@@ -123,7 +126,7 @@ def test_criterion_2_lmb_fusion_closure_oracle():
         r1, r2 = rng.uniform(0.05, 0.95, size=2)
         w = rng.uniform(0.2, 0.8)
         fused = fuse_lmb([(LmbDensity((LmbEntry(L1, r1, pa),)), w), (LmbDensity((LmbEntry(L1, r2, pb),)), 1 - w)])
-        eta = np.trapezoid(pa.pdf(grid.reshape(-1, 1)) ** w * pb.pdf(grid.reshape(-1, 1)) ** (1 - w), grid)
+        eta = np.trapezoid(gm_pdf(pa, grid.reshape(-1, 1)) ** w * gm_pdf(pb, grid.reshape(-1, 1)) ** (1 - w), grid)
         q = (1 - r1) ** w * (1 - r2) ** (1 - w)
         r = eta * r1**w * r2 ** (1 - w)
         worst_grid = max(worst_grid, abs(fused.entry(L1).existence - r / (q + r)) / (r / (q + r)))
@@ -191,7 +194,7 @@ def test_criterion_4_consensus_matrix_convergence():
     assert elapsed < 1.0
 
 
-def test_criterion_5_update_exhaustive_vs_ranked():
+def test_criterion_5_update_exhaustive_vs_ranked(monkeypatch):
     start = time.perf_counter()
 
     class LinearSensor:
@@ -216,8 +219,9 @@ def test_criterion_5_update_exhaustive_vs_ranked():
     ])
     Z = [-3.2, 5.9]
     cfg = FilterConfig(assignments_per_hypothesis=16)
-    a = mdglmb_update(predicted, Z, LinearSensor(), cfg, method="ranked")
-    b = mdglmb_update(predicted, Z, LinearSensor(), cfg, method="exhaustive")
+    a = mdglmb_update(predicted, Z, LinearSensor(), cfg)
+    monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
+    b = mdglmb_update(predicted, Z, LinearSensor(), cfg)
     assert len(a) == len(b)
     worst = 0.0
     for ha, hb in zip(a.hypotheses, b.hypotheses):
@@ -255,11 +259,11 @@ def test_criterion_6_marginalization_preserves_moments():
         for lab in (L1, L2):
             mass = sum(math.exp(c.log_weight) for c in d.components if lab in c.label_set)
             first = sum(
-                math.exp(c.log_weight) * c.pdf(lab).mean()[0] for c in d.components if lab in c.label_set
+                math.exp(c.log_weight) * gm_mean(c.pdf(lab))[0] for c in d.components if lab in c.label_set
             )
             got_mass, got_pdf = intensity_mdglmb(m, lab)
             worst = max(worst, abs(got_mass - mass))
-            worst = max(worst, abs(got_mass * got_pdf.mean()[0] - first))
+            worst = max(worst, abs(got_mass * gm_mean(got_pdf)[0] - first))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(6, "marginalization preserves cardinality and intensity", ok,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,22 +8,22 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from distmot.densities import (
-    DeltaGlmbComponent,
-    DeltaGlmbDensity,
     LmbDensity,
     LmbEntry,
     MdGlmbDensity,
     MdGlmbHypothesis,
     cardinality_distribution_lmb,
     cardinality_distribution_mdglmb,
+    check_density,
     intensity_mdglmb,
     k_best_bernoulli_subsets,
     lmb_from_mdglmb,
     lmb_to_mdglmb,
-    marginalize_delta_glmb,
 )
 from distmot.gm import Gaussian, GaussianMixture
-from distmot.labels import EMPTY_LABEL_SET, DuplicateLabelError, Label, LabelSet
+from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
+from distmot.wire import density_from_json, density_to_dict
+from reference import DeltaGlmbComponent, DeltaGlmbDensity, gm_mean, marginalize_delta_glmb
 
 
 def g1(mean, var=1.0):
@@ -44,6 +45,20 @@ def random_mdglmb(rng, labels, dim=1):
     return MdGlmbDensity.from_unnormalized(hyps)
 
 
+def decode_hypotheses(label_lists, log_weights=None):
+    """density_from_json of a document with one hypothesis per label list,
+    each label carrying a unit Gaussian; the wire order is kept as given."""
+    log_weights = log_weights or [-math.log(len(label_lists))] * len(label_lists)
+    doc = {"schema": "lrfs-density/1", "kind": "mdglmb", "hypotheses": []}
+    pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, g1(0.0)),)))["entries"][0]["pdf"]
+    for labels, lw in zip(label_lists, log_weights):
+        pairs = [list(l.as_pair()) for l in labels]
+        doc["hypotheses"].append(
+            {"labels": pairs, "log_weight": lw, "tracks": [{"label": p, "pdf": pdf} for p in pairs]}
+        )
+    return density_from_json(json.dumps(doc))
+
+
 class TestLabels:
     def test_label_ordering(self):
         assert Label(0, 1) < Label(0, 2) < Label(1, 1) < Label(1, 2)
@@ -55,14 +70,21 @@ class TestLabels:
             Label(0, 0)
 
     def test_labelset_sorted_and_unique(self):
-        s = LabelSet((L3, L1, L2))
-        assert s.labels == (L1, L2, L3)
-        with pytest.raises(DuplicateLabelError):
-            LabelSet((L1, L1))
+        # decoding sorts a label list; check_density rejects an unsorted or
+        # duplicated label set
+        d = decode_hypotheses([[L3, L1, L2]])
+        assert d.hypotheses[0].label_set.labels == (L1, L2, L3)
+        for labels in [(L2, L1), (L1, L1)]:
+            with pytest.raises(ValueError, match=r"\(0,[12]\)"):
+                check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet(labels), 0.0, (g1(0.0), g1(1.0))),)))
+        with pytest.raises(ValueError, match="duplicated or out of order"):
+            decode_hypotheses([[L1, L1]])
 
     def test_labelset_set_equality(self):
-        assert LabelSet((L2, L1)) == LabelSet((L1, L2))
-        assert hash(LabelSet((L2, L1))) == hash(LabelSet((L1, L2)))
+        # the decoded label set is the same whatever the order on the wire
+        a = decode_hypotheses([[L2, L1]]).hypotheses[0].label_set
+        b = decode_hypotheses([[L1, L2]]).hypotheses[0].label_set
+        assert a == b and hash(a) == hash(b)
 
 
 class TestCardinalityMdglmb:
@@ -139,7 +161,7 @@ class TestIntensity:
         mass, mix = intensity_mdglmb(d, L1)
         assert mass == pytest.approx(0.8, abs=1e-12)
         # mixture is 0.3/0.8 at 0 and 0.5/0.8 at 5
-        assert mix.mean()[0] == pytest.approx(5.0 * 0.5 / 0.8, abs=1e-12)
+        assert gm_mean(mix)[0] == pytest.approx(5.0 * 0.5 / 0.8, abs=1e-12)
 
     def test_unknown_label(self):
         d = MdGlmbDensity.empty()
@@ -167,7 +189,7 @@ class TestMarginalizeDeltaGlmb:
         m = marginalize_delta_glmb(d)
         h = m.hypothesis(LabelSet((L1,)))
         assert h.log_weight == pytest.approx(0.0, abs=1e-12)
-        assert h.pdfs[0].mean()[0] == pytest.approx(2.0, abs=1e-12)
+        assert gm_mean(h.pdfs[0])[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(np.exp(h.pdfs[0].log_w), [0.5, 0.5])
 
     @given(st.integers(0, 2**31 - 1))
@@ -196,14 +218,14 @@ class TestMarginalizeDeltaGlmb:
         for lab in labels:
             mass = sum(math.exp(c.log_weight) for c in d.components if lab in c.label_set)
             first = sum(
-                math.exp(c.log_weight) * c.pdf(lab).mean()[0]
+                math.exp(c.log_weight) * gm_mean(c.pdf(lab))[0]
                 for c in d.components
                 if lab in c.label_set
             )
             got_mass, got_pdf = intensity_mdglmb(m, lab)
             assert got_mass == pytest.approx(mass, abs=1e-12)
             if mass > 0:
-                assert got_pdf.mean()[0] * got_mass == pytest.approx(first, abs=1e-12)
+                assert gm_mean(got_pdf)[0] * got_mass == pytest.approx(first, abs=1e-12)
 
 
 class TestLmbConversions:
@@ -301,21 +323,60 @@ class TestKBestSubsets:
 
 
 class TestValidation:
+    """check_density, on internal results and on densities arriving over the wire."""
+
     def test_mdglmb_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            MdGlmbDensity((MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),))
+        with pytest.raises(ValueError, match="not normalized"):
+            check_density(MdGlmbDensity((MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),)))
+        with pytest.raises(ValueError, match="not normalized"):
+            decode_hypotheses([[], [L1]], [math.log(0.5), math.log(0.4)])
+        decode_hypotheses([[], [L1]], [math.log(0.5), math.log(0.5)])
 
     def test_mdglmb_rejects_duplicate_sets(self):
-        with pytest.raises(ValueError):
-            MdGlmbDensity((
+        with pytest.raises(ValueError, match=r"hypothesis \{\} is duplicated"):
+            check_density(MdGlmbDensity((
                 MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
                 MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-            ))
+            )))
+        with pytest.raises(ValueError, match=r"hypothesis \{\(0,1\),\(0,2\)\} is duplicated"):
+            decode_hypotheses([[L1, L2], [L2, L1]])
+
+    def test_mdglmb_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one hypothesis"):
+            check_density(MdGlmbDensity(()))
 
     def test_lmb_rejects_bad_existence(self):
-        with pytest.raises(ValueError):
-            LmbEntry(L1, 1.5, g1(0.0))
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0,1\)"):
+            check_density(LmbDensity((LmbEntry(L1, 1.5, g1(0.0)),)))
+        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
+        doc["entries"][0]["existence"] = 1.5
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0,1\)"):
+            density_from_json(json.dumps(doc))
+        # rounding within 1e-12 of [0, 1] is clamped on decode
+        doc["entries"][0]["existence"] = 1.0 + 1e-13
+        assert density_from_json(json.dumps(doc)).entries[0].existence == 1.0
+
+    def test_lmb_rejects_duplicate_labels(self):
+        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
+        doc["entries"].append(doc["entries"][0])
+        with pytest.raises(ValueError, match=r"label \(0,1\) in the LMB density is duplicated"):
+            density_from_json(json.dumps(doc))
+
+    def test_lmb_rejects_unnormalized_pdf(self):
+        pdf = GaussianMixture(np.array([math.log(0.5)]), np.zeros((1, 1)), np.ones((1, 1, 1)))
+        with pytest.raises(ValueError, match=r"pdf for \(0,1\) is not normalized"):
+            check_density(LmbDensity((LmbEntry(L1, 0.5, pdf),)))
+        check_density(LmbDensity((LmbEntry(L1, 0.0, GaussianMixture.empty(1)),)))
 
     def test_hypothesis_pdf_count_mismatch(self):
-        with pytest.raises(ValueError):
-            MdGlmbHypothesis(LabelSet((L1, L2)), 0.0, (g1(0.0),))
+        with pytest.raises(ValueError, match=r"hypothesis \{\(0,1\),\(0,2\)\} carries 1 pdfs for 2 labels"):
+            check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1, L2)), 0.0, (g1(0.0),)),)))
+        with pytest.raises(ValueError, match=r"pdf for \(0,2\) in hypothesis \{\(0,1\),\(0,2\)\} is not normalized"):
+            check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1, L2)), 0.0, (g1(0.0), GaussianMixture.empty(1))),)))
+
+    def test_internal_results_pass(self):
+        rng = np.random.default_rng(4)
+        d = random_mdglmb(rng, (L1, L2, L3))
+        check_density(d)
+        check_density(lmb_from_mdglmb(d))
+        check_density(lmb_to_mdglmb(lmb_from_mdglmb(d)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from distmot import filters
 from distmot.densities import (
     LmbDensity,
     LmbEntry,
@@ -33,7 +34,9 @@ from distmot.filters import (
 from distmot.filters import _eval_state_fn, _lse, _PsiTable
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
-from distmot.sensors import expected_value_mixture, make_doa, make_toa, unscented_update_mixture
+from distmot.sensors import expected_value_mixture, unscented_update_mixture
+from reference import gm_covariance, gm_mean, make_doa, make_toa
+from test_assignment import exhaustive_assignments
 
 L1, L2, L3 = Label(0, 1), Label(0, 2), Label(1, 1)
 
@@ -145,7 +148,7 @@ class TestMdglmbPredict:
         # {L1} survivor set receives mass 0.5*ps from hypothesis {L1} and
         # 0.5*ps*(1-ps) from {L1,L2}; pdf mean mixes 0 and 10 accordingly
         w_a, w_b = 0.5 * ps, 0.5 * ps * (1 - ps)
-        assert h.pdfs[0].mean()[0] == pytest.approx(10.0 * w_b / (w_a + w_b), abs=1e-9)
+        assert gm_mean(h.pdfs[0])[0] == pytest.approx(10.0 * w_b / (w_a + w_b), abs=1e-9)
 
     def test_truncates_to_max_hypotheses(self):
         birth = BirthModel(tuple(BirthEntry(i, 0.3, g1(float(i))) for i in range(1, 6)))
@@ -356,7 +359,7 @@ class TestMdglmbUpdate:
             sorted([psi_miss / (psi_miss + psi_hit), psi_hit / (psi_miss + psi_hit)]), abs=1e-9
         )
 
-    def test_two_tracks_two_measurements_vs_enumeration(self):
+    def test_two_tracks_two_measurements_vs_enumeration(self, monkeypatch):
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=3.0, detection_prob=0.9, space=(-60.0, 60.0))
         hyps = [
             MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
@@ -366,13 +369,14 @@ class TestMdglmbUpdate:
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-4.0, 7.0]
         cfg = FilterConfig()
-        post = mdglmb_update(d, Z, sensor, cfg, method="exhaustive")
+        monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
+        post = mdglmb_update(d, Z, sensor, cfg)
         table = brute_force_update_weights(d, Z, sensor)
         for h in post.hypotheses:
             expect = math.log(sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set))
             assert h.log_weight == pytest.approx(expect, abs=1e-10)
 
-    def test_ranked_equals_exhaustive_with_large_k(self):
+    def test_ranked_equals_exhaustive_with_large_k(self, monkeypatch):
         sensor = linear_px_sensor(noise_std=1.5, clutter_rate=2.0, detection_prob=0.85, space=(-60.0, 60.0))
         hyps = [
             MdGlmbHypothesis(LabelSet((L1,)), math.log(0.4), (g4(-3.0, 0.0, pos_var=4.0),)),
@@ -381,8 +385,9 @@ class TestMdglmbUpdate:
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-2.5, 3.5]
         cfg = FilterConfig(assignments_per_hypothesis=16)
-        a = mdglmb_update(d, Z, sensor, cfg, method="ranked")
-        b = mdglmb_update(d, Z, sensor, cfg, method="exhaustive")
+        a = mdglmb_update(d, Z, sensor, cfg)
+        monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
+        b = mdglmb_update(d, Z, sensor, cfg)
         assert len(a) == len(b)
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.label_set == hb.label_set
@@ -547,8 +552,8 @@ class TestCentralized:
         lab = Label(0, 1)
         h1 = one.hypothesis(LabelSet((lab,)))
         h2 = two.hypothesis(LabelSet((lab,)))
-        t1 = np.trace(h1.pdfs[0].covariance())
-        t2 = np.trace(h2.pdfs[0].covariance())
+        t1 = np.trace(gm_covariance(h1.pdfs[0]))
+        t2 = np.trace(gm_covariance(h2.pdfs[0]))
         assert t2 < t1
 
     def test_sensor_order_does_not_change_map_cardinality(self):

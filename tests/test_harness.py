@@ -91,11 +91,12 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_single_sensor_lock_on(self, algorithm):
-        # one node and no edges: each consensus round fuses the node with itself
+        # one node and no edge: nothing to exchange, so no consensus round
         s = tiny_scenario(sensors=[{"kind": "toa", "position": [0.0, 0.0], "noise_std": 100.0}], graph={"edges": []})
         r = run_trial(s, algorithm, trial_seed_for(s.seed, 0))
         assert r.n_nodes == 1
         assert all(c == 1 for c in r.est_card[0][4:])
+        assert r.bytes_reference == r.bytes_actual == 0
 
     def test_byte_accounting_additive(self):
         s = tiny_scenario()

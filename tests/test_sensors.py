@@ -12,12 +12,11 @@ from distmot.sensors import (
     DegenerateGeometryError,
     UtParams,
     angle_residual,
-    make_doa,
-    make_toa,
     simulate_measurements,
     unscented_update_mixture,
     wrap_angle,
 )
+from reference import gm_components, gm_from_components, make_doa, make_toa
 
 
 def state(px, py, vx=0.0, vy=0.0):
@@ -144,12 +143,12 @@ class TestUnscentedUpdate:
                 np.array([5000.0, 10.0, 3000.0, -10.0]) + rng.normal(scale=100.0, size=4),
                 a @ a.T * 100.0 + np.diag([1e4, 25.0, 1e4, 25.0]),
             )))
-        gm = GaussianMixture.from_components(comps)
+        gm = gm_from_components(comps)
         sensor = make_doa((0.0, 0.0), noise_std=math.radians(1.0))
         zs = np.array([0.5, 0.6])
         ll, mus, covs, ok = unscented_update_mixture(gm, zs, sensor.h, sensor.noise_std**2, True)
         assert ok.all()
-        for i, (_, g) in enumerate(gm.components()):
+        for i, (_, g) in enumerate(gm_components(gm)):
             for j, z in enumerate(zs):
                 post, lik = unscented_update_fn(g, z, sensor.h, sensor.noise_std**2, True)
                 assert ll[i, j] == pytest.approx(lik, abs=1e-10)

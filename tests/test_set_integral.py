@@ -11,7 +11,8 @@ from distmot.densities import (
 )
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
-from distmot.set_integral import (
+from reference import gm_pdf
+from set_integral import (
     geometric_mean_evaluator,
     lmb_evaluator,
     mdglmb_evaluator,
@@ -64,7 +65,7 @@ def test_unnormalized_lmb_product_matches_binomial_closed_form():
         # eta by independent scalar quadrature
         x = GRID.reshape(-1, 1)
         eta = np.trapezoid(
-            da.entry(l).pdf.pdf(x) ** omegas[0] * db.entry(l).pdf.pdf(x) ** omegas[1], GRID
+            gm_pdf(da.entry(l).pdf, x) ** omegas[0] * gm_pdf(db.entry(l).pdf, x) ** omegas[1], GRID
         )
         r = eta * r_a[l] ** omegas[0] * r_b[l] ** omegas[1]
         expect *= q + r

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distmot.densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis
-from distmot.gm import Gaussian, GaussianMixture
+from distmot.gm import Gaussian
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.wire import (
     density_from_json,
@@ -12,6 +12,7 @@ from distmot.wire import (
     exchange_bytes_actual,
     exchange_bytes_reference,
 )
+from reference import gm_from_components
 
 L1, L2 = Label(2, 1), Label(3, 1)
 
@@ -19,7 +20,7 @@ L1, L2 = Label(2, 1), Label(3, 1)
 def gm4(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(4, 4))
-    return GaussianMixture.from_components(
+    return gm_from_components(
         [(math.log(0.5), Gaussian(rng.normal(size=4), a @ a.T + np.eye(4))),
          (math.log(0.5), Gaussian(rng.normal(size=4), np.eye(4)))]
     )
