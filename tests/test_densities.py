@@ -380,3 +380,8 @@ class TestValidation:
         check_density(d)
         check_density(lmb_from_mdglmb(d))
         check_density(lmb_to_mdglmb(lmb_from_mdglmb(d)))
+        # enough labels that a set of them does not iterate in label order
+        labels = tuple(Label(k, i) for k in range(0, 40, 3) for i in (1, 2))
+        wide = MdGlmbDensity((MdGlmbHypothesis(LabelSet(labels), 0.0, tuple(g1(0.0) for _ in labels)),))
+        assert wide.label_space().labels == labels
+        check_density(lmb_from_mdglmb(wide))
