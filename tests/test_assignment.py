@@ -36,6 +36,18 @@ def exhaustive_assignments(log_score, k=None):
     return [(theta, score) for score, theta in out]
 
 
+def test_association_map_rejects_shared_measurement():
+    # both tracks strongly prefer measurement 1: (1, 1) would score best,
+    # but no map may give one measurement to two tracks
+    log_score = np.array([[0.0, 5.0, -5.0], [0.0, 5.0, -5.0]])
+    for search in (_ranked_dense, _ranked_murty, ranked_assignments):
+        got = [theta for theta, _ in search(log_score, 100)]
+        assert (1, 1) not in got and (2, 2) not in got
+        assert (0, 0) in got  # shared misdetection is fine
+        assert got[:2] == [(0, 1), (1, 0)]
+        assert len(got) == 7
+
+
 def test_one_track_one_measurement():
     log_score = np.array([[np.log(0.3), np.log(2.0)]])
     maps = ranked_assignments(log_score, 5)
