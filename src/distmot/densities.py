@@ -145,7 +145,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
                 if not pdf.is_normalized(atol=PDF_ATOL):
                     raise ValueError(f"pdf for {lab} in hypothesis {h.label_set} is not normalized")
         total = logsumexp([h.log_weight for h in d.hypotheses])
-        if abs(total) > NORMALIZATION_ATOL:
+        if not abs(total) <= NORMALIZATION_ATOL:  # NaN fails too
             raise ValueError(f"hypothesis weights not normalized (log total {total:.3e})")
     elif isinstance(d, LmbDensity):
         _check_increasing(d.labels, "the LMB density")
@@ -208,12 +208,12 @@ def lmb_from_mdglmb(d: MdGlmbDensity) -> LmbDensity:
     return LmbDensity(tuple(entries))
 
 
-def k_best_bernoulli_subsets(probs: np.ndarray, k: int | None) -> list[tuple[tuple[int, ...], float]]:
+def k_best_bernoulli_subsets(probs: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
     """The k highest-weight subsets of independent Bernoulli(p_i) trials.
 
     Returns (sorted index tuple, log weight) pairs in descending weight;
-    log weight = sum_in log p + sum_out log(1-p). k=None enumerates all.
-    p_i = 0 is never included, p_i = 1 always.
+    log weight = sum_in log p + sum_out log(1-p). p_i = 0 is never
+    included, p_i = 1 always.
     """
     probs = np.asarray(probs, dtype=float)
     forced = [i for i, p in enumerate(probs) if p >= 1.0]
@@ -226,9 +226,9 @@ def k_best_bernoulli_subsets(probs: np.ndarray, k: int | None) -> list[tuple[tup
 
     costs = sorted(((abs(odds[i]), i) for i in optional), key=lambda t: (t[0], t[1]))
     out = [(tuple(sorted(best)), best_logw)]
-    if k is not None and k <= 1:
+    if k <= 1:
         return out
-    limit = (1 << len(optional)) if k is None else min(k, 1 << len(optional))
+    limit = min(k, 1 << len(optional))
 
     # enumerate deviation sets by increasing total cost; a deviation toggles
     # membership of one optional index relative to the best subset
@@ -248,12 +248,9 @@ def k_best_bernoulli_subsets(probs: np.ndarray, k: int | None) -> list[tuple[tup
     return out
 
 
-def lmb_to_mdglmb(d: LmbDensity, max_hypotheses: int | None = None) -> MdGlmbDensity:
-    """Expand an LMB into label-set hypotheses.
-
-    Full enumeration when max_hypotheses is None; otherwise the k best
-    subsets by weight, renormalized after truncation.
-    """
+def lmb_to_mdglmb(d: LmbDensity, max_hypotheses: int) -> MdGlmbDensity:
+    """Expand an LMB into its max_hypotheses best label-set hypotheses by
+    weight, renormalized after truncation."""
     probs = np.array([e.existence for e in d.entries])
     subsets = k_best_bernoulli_subsets(probs, max_hypotheses)
     hyps = []

@@ -1,22 +1,24 @@
 """Local-node filtering: M-delta-GLMB and LMB prediction/update recursions.
 
 The update likelihood per track and association is
-    psi_Z(x, l; theta) = P_D(x, l) g(z_theta | x, l) / kappa(z_theta)   theta(l) > 0
-                       = 1 - P_D(x, l)                                  theta(l) = 0
-and per-hypothesis weights are proportional to the prior weight times the
-product of expected psi values over the hypothesis labels. Association maps
-come from ranked assignment on the per-track log psi matrix; the posterior
-is re-marginalized over maps within each label set after every update, so
-no association history index is carried between steps.
+    psi_Z(x, l; theta) = P_D g(z_theta | x, l) / kappa(z_theta)   theta(l) > 0
+                       = 1 - P_D                                  theta(l) = 0
+with the sensor's constant detection probability P_D, and per-hypothesis
+weights are proportional to the prior weight times the product of expected
+psi values over the hypothesis labels. Association maps come from ranked
+assignment on the per-track log psi matrix; the posterior is
+re-marginalized over maps within each label set after every update, so no
+association history index is carried between steps.
 
 Each update does each piece of work once: psi rows are cached per distinct
-track pdf (and label, when P_D depends on it), the pdf conditioned on a
-measurement is built only when a ranked map selects it, and each distinct
-marginalized mixture is merged once however many hypotheses share it.
+track pdf, the pdf conditioned on a measurement is built only when a ranked
+map selects it, and each distinct marginalized mixture is merged once
+however many hypotheses share it.
 
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
-hypothesis that can shrink onto it, weighted by survival.
+hypothesis that can shrink onto it, weighted by the motion model's constant
+survival probability P_S.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .densities import (
 )
 from .gm import GaussianMixture, gm_key, gm_merge_prune_cap, logsumexp, symmetrize
 from .labels import Label, LabelSet
-from .sensors import DEFAULT_UT, SensorModel, UtParams, expected_value_mixture, unscented_update_mixture
-
-StateLabelFn = float | Callable  # constant or (states (n,4), label) -> (n,)
+from .sensors import SensorModel, unscented_update_mixture
 
 
 class FilterDegeneracyError(RuntimeError):
@@ -57,11 +57,11 @@ class UpdateDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class MotionModel:
-    """Linear-Gaussian motion with a survival-probability model."""
+    """Linear-Gaussian motion with a constant survival probability."""
 
     transition: np.ndarray
     noise_cov: np.ndarray
-    survival_prob: StateLabelFn = 0.99
+    survival_prob: float
 
     def __post_init__(self):
         f = np.array(self.transition, dtype=float)
@@ -76,7 +76,7 @@ class MotionModel:
         object.__setattr__(self, "noise_cov", q)
 
 
-def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_prob: StateLabelFn = 0.99) -> MotionModel:
+def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_prob: float = 0.99) -> MotionModel:
     """Nearly-constant-velocity model on [px, vx, py, vy]."""
     t = sampling_interval
     f1 = np.array([[1.0, t], [0.0, 1.0]])
@@ -130,17 +130,6 @@ class FilterConfig:
     gm_trunc_thresh: float = 1e-4
     gm_max_components: int = 25
     lmb_prune_thresh: float = 1e-4
-    ut: UtParams = DEFAULT_UT
-
-
-def _eval_state_fn(fn: StateLabelFn, states: np.ndarray, label: Label) -> np.ndarray:
-    """Evaluate a constant-or-callable (state, label) model on a batch of states."""
-    if not callable(fn):
-        return np.full(states.shape[0], float(fn))
-    out = fn(states, label)
-    if np.ndim(out) == 0:
-        return np.array([float(fn(states[i], label)) for i in range(states.shape[0])])
-    return np.asarray(out, dtype=float)
 
 
 def _lse(values) -> float:
@@ -160,12 +149,9 @@ def kalman_predict_mixture(gm: GaussianMixture, motion: MotionModel) -> Gaussian
     return GaussianMixture._raw(gm.log_w.copy(), gm.means @ f.T, covs, gm.total_log_weight())
 
 
-def _survival_stats(pdf: GaussianMixture, label: Label, motion: MotionModel, ut: UtParams):
-    """(per-component survival expectations, overall P_S_bar)."""
-    if not callable(motion.survival_prob):
-        s = np.full(pdf.n_components, float(motion.survival_prob))
-    else:
-        s = np.clip(expected_value_mixture(pdf, lambda x: _eval_state_fn(motion.survival_prob, x, label), ut), 0.0, 1.0)
+def _survival_stats(pdf: GaussianMixture, motion: MotionModel):
+    """(per-component survival probabilities, overall P_S_bar)."""
+    s = np.full(pdf.n_components, float(motion.survival_prob))
     w = np.exp(pdf.log_w - pdf.total_log_weight())
     return s, float(w @ s)
 
@@ -209,15 +195,16 @@ def mdglmb_predict(
     motion: MotionModel,
     birth: BirthModel,
     k: int,
-    max_hypotheses: int | None = None,
+    max_hypotheses: int,
 ) -> MdGlmbDensity:
     """Survival/birth prediction of a marginalized delta-GLMB.
 
     Predicted label sets are unions of a birth subset and a survivor subset;
     survivor weights sum the Bernoulli survival products over every prior
     hypothesis containing the subset, and survivor pdfs mix the matching
-    Kalman-predicted pdfs. Output is truncated to max_hypotheses (all kept
-    when None) and renormalized.
+    Kalman-predicted pdfs. Survivor and birth subsets are each capped at
+    max(4 max_hypotheses, 64) and their 4 max_hypotheses best unions
+    formed; the output is truncated to max_hypotheses and renormalized.
     """
     birth_labels = birth.labels_at(k)
     posterior_labels = posterior.label_space()
@@ -225,7 +212,7 @@ def mdglmb_predict(
         if bl in posterior_labels:
             raise ValueError(f"birth label {bl} collides with an existing track")
 
-    subset_cap = None if max_hypotheses is None else max(4 * max_hypotheses, 64)
+    subset_cap = max(4 * max_hypotheses, 64)
 
     # survivor part: accumulate weights and pdf contributions per label subset
     surv_w: dict[LabelSet, list[float]] = {}
@@ -234,8 +221,8 @@ def mdglmb_predict(
         labels = h.label_set.labels
         ps_bar = np.zeros(len(labels))
         predicted: list[GaussianMixture | None] = [None] * len(labels)
-        for i, (lab, pdf) in enumerate(zip(labels, h.pdfs)):
-            s, pb = _survival_stats(pdf, lab, motion, DEFAULT_UT)
+        for i, pdf in enumerate(h.pdfs):
+            s, pb = _survival_stats(pdf, motion)
             ps_bar[i] = pb
             if pb > 0.0:
                 predicted[i] = _surviving_pdf(pdf, s, pb, motion)
@@ -260,10 +247,7 @@ def mdglmb_predict(
     ]
 
     # combine: weights multiply, label sets union
-    if max_hypotheses is None:
-        pairs = [(i, j) for i in range(len(surv)) for j in range(len(birth_sets))]
-    else:
-        pairs = _k_best_products([w for _, w in surv], [w for _, w, _ in birth_sets], 4 * max_hypotheses)
+    pairs = _k_best_products([w for _, w in surv], [w for _, w, _ in birth_sets], 4 * max_hypotheses)
 
     hyps = []
     pdf_cache: dict[tuple[LabelSet, Label], GaussianMixture] = {}
@@ -285,28 +269,25 @@ def mdglmb_predict(
         hyps.append(MdGlmbHypothesis(label_set, surv_logw + b_logw, tuple(pdfs)))
 
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
-    if max_hypotheses is not None:
-        hyps = hyps[:max_hypotheses]
-    return MdGlmbDensity.from_unnormalized(hyps)
-
-
+    return MdGlmbDensity.from_unnormalized(hyps[:max_hypotheses])
 
 
 class _PsiRow:
     """log psi of one track pdf over [miss, z_1, ..., z_m], with the pdf
-    conditioned on each association built the first time a map asks for it."""
+    conditioned on each measurement built the first time a map asks for it.
+    A misdetection leaves the pdf unchanged."""
 
-    __slots__ = ("log_psi", "_pdf", "_log_miss", "_tot", "_log_det", "_mus", "_covs", "_cond")
+    __slots__ = ("log_psi", "_pdf", "_tot", "_log_det", "_gain", "_resid", "_covs", "_cond")
 
-    def __init__(self, log_psi, pdf, log_miss, tot, log_det, mus, covs):
+    def __init__(self, log_psi, pdf, tot, log_det, gain, resid, covs):
         self.log_psi = log_psi
         self._pdf = pdf
-        self._log_miss = log_miss  # None: misdetection leaves the pdf unchanged
         self._tot = tot
         self._log_det = log_det
-        self._mus = mus
+        self._gain = gain
+        self._resid = resid
         self._covs = covs
-        self._cond: list[GaussianMixture | None] = [None] * log_psi.size
+        self._cond: list[GaussianMixture | None] = [pdf] + [None] * (log_psi.size - 1)
 
     def cond(self, j: int) -> GaussianMixture:
         hit = self._cond[j]
@@ -316,22 +297,16 @@ class _PsiRow:
 
     def _build(self, j: int) -> GaussianMixture:
         pdf = self._pdf
-        if j == 0:
-            tot = self.log_psi[0]
-            if self._log_miss is None or not np.isfinite(tot):
-                return pdf
-            keep = np.isfinite(self._log_miss)
-            return GaussianMixture._raw(self._log_miss[keep] - tot, pdf.means[keep], pdf.covs[keep], 0.0)
         tot = self._tot[j - 1]
         if not np.isfinite(tot):
             return pdf
         keep = np.isfinite(self._log_det[:, j - 1])
-        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, self._mus[keep, j - 1], self._covs[keep], 0.0)
+        means = pdf.means[keep] + self._gain[keep] * self._resid[keep, j - 1, None]
+        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, means, self._covs[keep], 0.0)
 
 
 class _PsiTable:
-    """Per-update cache of psi rows keyed by track-pdf content (and label
-    when P_D depends on it).
+    """Per-update cache of psi rows keyed by track-pdf content.
 
     A row's log psi comes from one batched unscented update against every
     measurement and one log-sum-exp per measurement over the components,
@@ -342,10 +317,9 @@ class _PsiTable:
     map selects, are never built.
     """
 
-    def __init__(self, Z, sensor: SensorModel, cfg: FilterConfig, diagnostics: UpdateDiagnostics | None):
+    def __init__(self, Z, sensor: SensorModel, diagnostics: UpdateDiagnostics | None):
         self.Z = np.asarray(Z, dtype=float)
         self.sensor = sensor
-        self.cfg = cfg
         self.diag = diagnostics
         self.pd = sensor.detection_prob
         # filter-side clutter model: uniform density over the sensor's
@@ -357,33 +331,26 @@ class _PsiTable:
         np.maximum(self.log_kappa, math.log(1e-30), out=self.log_kappa)
         self._rows: dict = {}
 
-    def row(self, pdf: GaussianMixture, label: Label) -> _PsiRow:
-        key = (gm_key(pdf), label if callable(self.pd) else None)
+    def row(self, pdf: GaussianMixture) -> _PsiRow:
+        key = gm_key(pdf)
         hit = self._rows.get(key)
         if hit is None:
-            hit = self._rows[key] = self._compute(pdf, label)
+            hit = self._rows[key] = self._compute(pdf)
         return hit
 
-    def _compute(self, pdf: GaussianMixture, label: Label) -> _PsiRow:
+    def _compute(self, pdf: GaussianMixture) -> _PsiRow:
         m = self.Z.size
         log_psi = np.empty(m + 1)
         alpha = pdf.log_w - pdf.total_log_weight()
-
-        if callable(self.pd):
-            pd_vals = np.clip(expected_value_mixture(pdf, lambda x: _eval_state_fn(self.pd, x, label), self.cfg.ut), 0.0, 1.0)
-        else:
-            pd_vals = np.full(pdf.n_components, float(self.pd))
+        pd_vals = np.full(pdf.n_components, float(self.pd))
 
         with np.errstate(divide="ignore"):
-            log_miss = alpha + np.log1p(-np.minimum(pd_vals, 1.0))
-        log_psi[0] = _lse(log_miss)
-        if not callable(self.pd):
-            log_miss = None
+            log_psi[0] = _lse(alpha + np.log1p(-pd_vals))
 
         if not m:
-            return _PsiRow(log_psi, pdf, log_miss, None, None, None, None)
-        ll, mus, covs, ok = unscented_update_mixture(
-            pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular, self.cfg.ut
+            return _PsiRow(log_psi, pdf, None, None, None, None, None)
+        ll, gain, resid, covs, ok = unscented_update_mixture(
+            pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular
         )
         if self.diag is not None and not ok.all():
             self.diag.dropped_components += int((~ok).sum())
@@ -395,7 +362,7 @@ class _PsiTable:
         sums = np.exp(per_z[live] - tot[live, None]).sum(axis=1)
         tot[live] += [math.log(s) for s in sums.tolist()]
         log_psi[1:] = tot - self.log_kappa
-        return _PsiRow(log_psi, pdf, log_miss, tot, log_det, mus, covs)
+        return _PsiRow(log_psi, pdf, tot, log_det, gain, resid, covs)
 
 
 def _safe_log(x: float) -> float:
@@ -459,13 +426,13 @@ def mdglmb_update(
     are normalized jointly over all retained (I, theta) pairs before
     hypotheses are truncated to max_hypotheses.
     """
-    table = _PsiTable(Z, sensor, cfg, diagnostics)
+    table = _PsiTable(Z, sensor, diagnostics)
     m = table.Z.size
 
     entries = []  # (hyp index, theta, unnormalized log weight)
     rows_per_hyp = []
     for hi, h in enumerate(predicted.hypotheses):
-        rows = [table.row(pdf, lab) for lab, pdf in zip(h.label_set, h.pdfs)]
+        rows = [table.row(pdf) for pdf in h.pdfs]
         rows_per_hyp.append(rows)
         if not math.isfinite(h.log_weight):
             continue
@@ -507,7 +474,7 @@ def lmb_predict(posterior: LmbDensity, motion: MotionModel, birth: BirthModel, k
     """Survival-thinned, Kalman-predicted tracks plus fresh birth tracks."""
     entries = []
     for e in posterior.entries:
-        s, ps_bar = _survival_stats(e.pdf, e.label, motion, DEFAULT_UT)
+        s, ps_bar = _survival_stats(e.pdf, motion)
         if ps_bar <= 0.0:
             continue
         entries.append(LmbEntry(e.label, e.existence * ps_bar, _surviving_pdf(e.pdf, s, ps_bar, motion)))

@@ -23,23 +23,16 @@ import numpy as np
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))); lean replacement for the scipy version (hot path)."""
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every element; lean replacement for the scipy
+    version (hot path)."""
     a = np.asarray(a, dtype=float)
-    if axis is None:
-        if a.size == 0:
-            return -np.inf
-        m = float(np.max(a))
-        if not math.isfinite(m):
-            return m
-        return m + math.log(float(np.sum(np.exp(a - m))))
-    m = np.max(a, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    s = np.sum(np.exp(a - safe), axis=axis)
-    out = np.full(s.shape, -np.inf)
-    pos = s > 0
-    out[pos] = np.log(s[pos]) + np.squeeze(safe, axis=axis)[pos]
-    return out
+    if a.size == 0:
+        return -np.inf
+    m = float(np.max(a))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(a - m))))
 
 # Relative floor on the smallest covariance eigenvalue.
 PD_RTOL = 1e-12
@@ -58,11 +51,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def check_pd(cov: np.ndarray, what: str = "covariance") -> None:
+def check_pd(cov: np.ndarray) -> None:
     eig = np.linalg.eigvalsh(symmetrize(cov))
     if eig[..., -1].min() <= 0.0 or (eig[..., 0] < PD_RTOL * eig[..., -1]).any():
         raise PositiveDefiniteError(
-            f"{what} is not positive-definite within tolerance "
+            f"covariance is not positive-definite within tolerance "
             f"(eigenvalue range {eig.min():.3e}..{eig.max():.3e})"
         )
 
@@ -158,8 +151,8 @@ class GaussianMixture:
         return self
 
     @classmethod
-    def single(cls, g: Gaussian, log_w: float = 0.0) -> "GaussianMixture":
-        return cls(np.array([log_w]), g.mean[None, :], g.cov[None, :, :])
+    def single(cls, g: Gaussian) -> "GaussianMixture":
+        return cls(np.zeros(1), g.mean[None, :], g.cov[None, :, :])
 
     @classmethod
     def empty(cls, dim: int) -> "GaussianMixture":

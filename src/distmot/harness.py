@@ -34,7 +34,7 @@ from .filters import (
 from .fusion import consensus_run
 from .network import metropolis_weights
 from .ospa import ospa
-from .scenario import Scenario, generate_truth, with_overrides
+from .scenario import Scenario, generate_truth
 from .wire import exchange_bytes_actual, exchange_bytes_reference
 
 ALGORITHMS = ("consensus-mdglmb", "consensus-lmb", "centralized-mdglmb")
@@ -194,14 +194,12 @@ class ExperimentResult:
             "ospa_card_mean": self.ospa_card_mean.mean(axis=0),
         }
 
-    def mean_ospa(self, step_lo: int = 0, step_hi: int | None = None) -> float:
-        hi = self.n_steps if step_hi is None else step_hi
-        return float(self.ospa_mean.mean(axis=0)[step_lo:hi].mean())
+    def mean_ospa(self) -> float:
+        return float(self.ospa_mean.mean(axis=0).mean())
 
-    def mean_cardinality_error(self, step_lo: int = 0, step_hi: int | None = None) -> float:
-        hi = self.n_steps if step_hi is None else step_hi
+    def mean_cardinality_error(self) -> float:
         per_node = np.abs(self.est_card_mean - self.truth_card[None, :])
-        return float(per_node.mean(axis=0)[step_lo:hi].mean())
+        return float(per_node.mean(axis=0).mean())
 
 
 def _trial_job(args):
@@ -219,14 +217,11 @@ def resolve_workers(workers: int | None) -> int:
 def run_experiment(
     scenario: Scenario,
     algorithm: str,
-    trials: int | None = None,
-    consensus_steps: int | None = None,
     workers: int | None = None,
     out_dir: str | Path | None = None,
     keep_trials: bool = False,
 ) -> ExperimentResult:
-    """Run independent trials and aggregate in fixed trial order."""
-    scenario = with_overrides(scenario, consensus_steps=consensus_steps, trials=trials)
+    """Run the scenario's independent trials and aggregate in fixed trial order."""
     n_trials = scenario.trials
     seeds = [trial_seed_for(scenario.seed, t) for t in range(n_trials)]
     jobs = [(scenario, algorithm, s) for s in seeds]

@@ -133,6 +133,9 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
     steps = int(_require(doc, "steps", name))
     if steps < 1:
         raise ScenarioError("steps: must be >= 1")
+    survival_prob = float(doc.get("survival_prob", 0.99))
+    if not 0.0 <= survival_prob <= 1.0:
+        raise ScenarioError(f"survival_prob: {survival_prob} outside [0, 1]")
 
     regime_clutter = doc.get("clutter_rate")
     regime_pd = doc.get("detection_prob")
@@ -171,7 +174,7 @@ def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
         sampling_interval=ts,
         steps=steps,
         process_noise_std=float(doc.get("process_noise_std", 5.0)),
-        survival_prob=float(doc.get("survival_prob", 0.99)),
+        survival_prob=survival_prob,
         birth=_load_birth(_require(doc, "birth", name)),
         sensors=sensors,
         graph=graph,
@@ -217,26 +220,13 @@ def load_scenario(path_or_name: str) -> Scenario:
 
 def with_overrides(
     s: Scenario,
-    clutter_rate: float | None = None,
-    detection_prob: float | None = None,
     consensus_steps: int | None = None,
     trials: int | None = None,
     seed: int | None = None,
 ) -> Scenario:
-    """Copy of the scenario with regime parameters swapped out."""
-    sensors = s.sensors
-    if clutter_rate is not None or detection_prob is not None:
-        sensors = tuple(
-            dataclasses.replace(
-                sen,
-                clutter_rate=sen.clutter_rate if clutter_rate is None else clutter_rate,
-                detection_prob=sen.detection_prob if detection_prob is None else detection_prob,
-            )
-            for sen in s.sensors
-        )
+    """Copy of the scenario with its run settings swapped out."""
     return dataclasses.replace(
         s,
-        sensors=sensors,
         consensus_steps=s.consensus_steps if consensus_steps is None else consensus_steps,
         trials=s.trials if trials is None else trials,
         seed=s.seed if seed is None else seed,

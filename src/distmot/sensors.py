@@ -35,34 +35,22 @@ def angle_residual(a, b):
     return wrap_angle(np.asarray(a) - np.asarray(b))
 
 
-@dataclass(frozen=True)
-class UtParams:
-    """Unscented-transform spread parameters; kappa defaults to 3 - d."""
-
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float | None = None
-
-    def weights(self, d: int):
-        kappa = self.kappa if self.kappa is not None else 3.0 - d
-        lam = self.alpha**2 * (d + kappa) - d
-        if d + lam <= 0:
-            raise ValueError(f"sigma-point spread d + lambda = {d + lam} must be positive")
-        wm = np.full(2 * d + 1, 0.5 / (d + lam))
-        wm[0] = lam / (d + lam)
-        wc = wm.copy()
-        wc[0] += 1.0 - self.alpha**2 + self.beta
-        return lam, wm, wc
-
-
-DEFAULT_UT = UtParams()
+def ut_weights(d: int):
+    """Unscented-transform spread lambda and the mean and covariance weights
+    for alpha = 1, beta = 2 and kappa = 3 - d, so that d + lambda = 3."""
+    lam = 3.0 - d
+    wm = np.full(2 * d + 1, 0.5 / 3.0)
+    wm[0] = lam / 3.0
+    wc = wm.copy()
+    wc[0] += 2.0
+    return lam, wm, wc
 
 
 @dataclass(frozen=True, eq=False)
 class SensorModel:
     """A single TOA or DOA sensor with clutter and detection models.
 
-    detection_prob is either a constant or a callable (state, label) -> [0, 1].
+    detection_prob is the constant P_D of every object.
     measurement_space is the (lo, hi) support of the uniform clutter density.
     """
 
@@ -70,7 +58,7 @@ class SensorModel:
     position: tuple[float, float]
     noise_std: float
     clutter_rate: float
-    detection_prob: float | Callable
+    detection_prob: float
     measurement_space: tuple[float, float]
 
     def __post_init__(self):
@@ -80,6 +68,8 @@ class SensorModel:
             raise ValueError("noise_std must be positive")
         if self.clutter_rate < 0:
             raise ValueError("clutter_rate must be non-negative")
+        if not 0.0 <= self.detection_prob <= 1.0:
+            raise ValueError(f"detection_prob {self.detection_prob} outside [0, 1]")
         object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
 
     @property
@@ -106,18 +96,19 @@ def unscented_update_mixture(
     h: Callable[[np.ndarray], np.ndarray],
     noise_var: float,
     angular: bool = False,
-    ut: UtParams = DEFAULT_UT,
 ):
     """Batched unscented update of every component against every measurement.
 
-    Returns (log_lik (n, nz), post_means (n, nz, d), post_covs (n, d, d),
-    valid (n,)); the posterior covariance does not depend on the measurement
+    Returns (log_lik (n, nz), gain (n, d), resid (n, nz), post_covs (n, d, d),
+    valid (n,)). The posterior mean of component i given measurement j is
+    means[i] + gain[i] * resid[i, j], formed by the caller for the pairs it
+    needs; the posterior covariance does not depend on the measurement
     value. Components whose innovation variance fails are flagged invalid.
     """
     n, d = gm.n_components, gm.dim
     zs = np.asarray(zs, dtype=float)
     nz = zs.size
-    lam, wm, wc = ut.weights(d)
+    lam, wm, wc = ut_weights(d)
     try:
         scale = np.linalg.cholesky(symmetrize(gm.covs) * (d + lam))
     except np.linalg.LinAlgError:
@@ -130,12 +121,7 @@ def unscented_update_mixture(
             except np.linalg.LinAlgError:
                 bad[i] = True
         if bad.all():
-            return (
-                np.full((n, nz), -np.inf),
-                np.tile(gm.means[:, None, :], (1, nz, 1)),
-                gm.covs.copy(),
-                ~bad,
-            )
+            return np.full((n, nz), -np.inf), np.zeros((n, d)), np.zeros((n, nz)), gm.covs.copy(), ~bad
     else:
         bad = np.zeros(n, dtype=bool)
 
@@ -159,40 +145,22 @@ def unscented_update_mixture(
         resid = angle_residual(zs[None, :], z_pred[:, None])
     else:
         resid = zs[None, :] - z_pred[:, None]
-    post_means = gm.means[:, None, :] + gain[:, None, :] * resid[:, :, None]
     post_covs = symmetrize(gm.covs - np.einsum("ni,nj->nij", gain, gain) * s[:, None, None])
     log_lik = -0.5 * (LOG_2PI + np.log(s)[:, None] + resid * resid / s[:, None])
     log_lik[bad] = -np.inf
-    return log_lik, post_means, post_covs, ~bad
-
-
-def expected_value_mixture(gm: GaussianMixture, fn: Callable, ut: UtParams = DEFAULT_UT) -> np.ndarray:
-    """Per-component unscented expectation of fn(state) over a mixture."""
-    n, d = gm.n_components, gm.dim
-    lam, wm, _ = ut.weights(d)
-    scale = np.linalg.cholesky(symmetrize(gm.covs) * (d + lam))
-    pts = np.empty((n, 2 * d + 1, d))
-    pts[:, 0] = gm.means
-    pts[:, 1 : d + 1] = gm.means[:, None, :] + np.swapaxes(scale, 1, 2)
-    pts[:, d + 1 :] = gm.means[:, None, :] - np.swapaxes(scale, 1, 2)
-    vals = np.asarray(fn(pts.reshape(-1, d)), dtype=float).reshape(n, 2 * d + 1)
-    return vals @ wm
+    return log_lik, gain, resid, post_covs, ~bad
 
 
 def simulate_measurements(truth: list, sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:
     """Detections (in truth order) followed by Poisson clutter.
 
     truth is a list of (label, state) pairs. Each object is detected with
-    probability P_D(state, label); detections are h(state) plus Gaussian
-    noise (bearings re-wrapped). Clutter locations are uniform over the
-    measurement space.
+    probability P_D; detections are h(state) plus Gaussian noise (bearings
+    re-wrapped). Clutter locations are uniform over the measurement space.
     """
     out = []
-    for label, state in truth:
-        pd = sensor.detection_prob
-        if callable(pd):
-            pd = pd(np.asarray(state, dtype=float), label)
-        if rng.random() < pd:
+    for _, state in truth:
+        if rng.random() < sensor.detection_prob:
             z = sensor.h(np.asarray(state, dtype=float)) + rng.normal(scale=sensor.noise_std)
             out.append(wrap_angle(z) if sensor.angular else z)
     lo, hi = sensor.measurement_space

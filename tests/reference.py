@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+import scipy.special
 
 from distmot.densities import NORMALIZATION_ATOL, MdGlmbDensity, MdGlmbHypothesis
 from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, PositiveDefiniteError, log_beta, logsumexp, symmetrize
@@ -142,7 +143,7 @@ def gm_pdf(p: GaussianMixture, x) -> np.ndarray:
         out = np.zeros(xs.shape[0])
         return out[0] if np.ndim(x) == 1 else out
     per = np.stack([p.log_w[i] + gaussian_logpdf(xs, p.means[i], p.covs[i]) for i in range(p.n_components)])
-    out = np.exp(logsumexp(per, axis=0))
+    out = np.exp(scipy.special.logsumexp(per, axis=0))
     return out[0] if np.ndim(x) == 1 else out
 
 

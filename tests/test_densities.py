@@ -259,19 +259,19 @@ class TestLmbConversions:
 
     def test_to_mdglmb_single_entry(self):
         lmb = LmbDensity((LmbEntry(L1, 0.09, g1(0.0)),))
-        d = lmb_to_mdglmb(lmb)
+        d = lmb_to_mdglmb(lmb, 2)
         assert math.exp(d.hypothesis(EMPTY_LABEL_SET).log_weight) == pytest.approx(0.91, abs=1e-12)
         assert math.exp(d.hypothesis(LabelSet((L1,))).log_weight) == pytest.approx(0.09, abs=1e-12)
 
     def test_to_mdglmb_zero_existence(self):
         lmb = LmbDensity((LmbEntry(L1, 0.0, g1(0.0)),))
-        d = lmb_to_mdglmb(lmb)
+        d = lmb_to_mdglmb(lmb, 2)
         assert len(d) == 1 and d.hypotheses[0].label_set == EMPTY_LABEL_SET
 
     def test_to_mdglmb_three_entries_full_enumeration(self):
         rs = [0.2, 0.5, 0.9]
         lmb = LmbDensity(tuple(LmbEntry(l, r, g1(0.0)) for l, r in zip((L1, L2, L3), rs)))
-        d = lmb_to_mdglmb(lmb)
+        d = lmb_to_mdglmb(lmb, 8)
         assert len(d) == 8
         # weights sum to one exactly: product over labels of (1-r) + r
         total = sum(math.exp(h.log_weight) for h in d.hypotheses)
@@ -288,7 +288,7 @@ class TestLmbConversions:
         lmb = LmbDensity(tuple(
             LmbEntry(l, float(r), g1(rng.normal())) for l, r in zip((L1, L2, L3), rs)
         ))
-        back = lmb_from_mdglmb(lmb_to_mdglmb(lmb))
+        back = lmb_from_mdglmb(lmb_to_mdglmb(lmb, 8))
         assert back.labels == lmb.labels
         for e, f in zip(lmb.entries, back.entries):
             assert f.existence == pytest.approx(e.existence, abs=1e-12)
@@ -315,7 +315,7 @@ class TestKBestSubsets:
         assert len({s for s, _ in got}) == len(got)
 
     def test_degenerate_probabilities(self):
-        got = k_best_bernoulli_subsets(np.array([0.0, 1.0, 0.6]), None)
+        got = k_best_bernoulli_subsets(np.array([0.0, 1.0, 0.6]), 8)
         assert got[0][0] == (1, 2)
         assert len(got) == 2  # only index 2 is optional
         assert got[0][1] == pytest.approx(math.log(0.6))
@@ -356,6 +356,13 @@ class TestValidation:
         doc["entries"][0]["existence"] = 1.0 + 1e-13
         assert density_from_json(json.dumps(doc)).entries[0].existence == 1.0
 
+    def test_rejects_nan_log_weight(self):
+        text = '{"schema":"lrfs-density/1","kind":"mdglmb","hypotheses":[{"labels":[],"log_weight":NaN,"tracks":[]}]}'
+        with pytest.raises(ValueError, match="hypothesis weights not normalized"):
+            density_from_json(text)
+        with pytest.raises(ValueError, match="hypothesis weights not normalized"):
+            decode_hypotheses([(), (L1,)], [float("nan"), 0.0])
+
     def test_lmb_rejects_duplicate_labels(self):
         doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
         doc["entries"].append(doc["entries"][0])
@@ -379,7 +386,7 @@ class TestValidation:
         d = random_mdglmb(rng, (L1, L2, L3))
         check_density(d)
         check_density(lmb_from_mdglmb(d))
-        check_density(lmb_to_mdglmb(lmb_from_mdglmb(d)))
+        check_density(lmb_to_mdglmb(lmb_from_mdglmb(d), 8))
         # enough labels that a set of them does not iterate in label order
         labels = tuple(Label(k, i) for k in range(0, 40, 3) for i in (1, 2))
         wide = MdGlmbDensity((MdGlmbHypothesis(LabelSet(labels), 0.0, tuple(g1(0.0) for _ in labels)),))

@@ -31,10 +31,10 @@ from distmot.filters import (
     mdglmb_update,
     ncv_motion_model,
 )
-from distmot.filters import _eval_state_fn, _lse, _PsiTable
+from distmot.filters import _lse, _PsiTable
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
-from distmot.sensors import expected_value_mixture, unscented_update_mixture
+from distmot.sensors import unscented_update_mixture
 from reference import gm_covariance, gm_mean, make_doa, make_toa
 from test_assignment import exhaustive_assignments
 
@@ -93,7 +93,7 @@ class TestNcvModel:
 class TestMdglmbPredict:
     def test_empty_posterior_single_birth(self):
         birth = BirthModel((BirthEntry(1, 0.09, g1(5.0)),))
-        pred = mdglmb_predict(MdGlmbDensity.empty(), motion_1d(), birth, k=3)
+        pred = mdglmb_predict(MdGlmbDensity.empty(), motion_1d(), birth, k=3, max_hypotheses=8)
         assert len(pred) == 2
         w_empty = math.exp(pred.hypothesis(EMPTY_LABEL_SET).log_weight)
         lab = Label(3, 1)
@@ -109,7 +109,7 @@ class TestMdglmbPredict:
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         motion = MotionModel(np.eye(1) * 2.0, [[0.5]], 1.0)
-        pred = mdglmb_predict(d, motion, BirthModel.empty(), k=1)
+        pred = mdglmb_predict(d, motion, BirthModel.empty(), k=1, max_hypotheses=8)
         assert np.allclose(cardinality_distribution_mdglmb(pred), [0.3, 0.7])
         h = pred.hypothesis(LabelSet((L1,)))
         assert np.allclose(h.pdfs[0].means, [[4.0]])  # Kalman-predicted mean 2*2
@@ -124,7 +124,7 @@ class TestMdglmbPredict:
             MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.4), (g1(2.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
-        pred = mdglmb_predict(d, motion_1d(ps), BirthModel.empty(), k=1)
+        pred = mdglmb_predict(d, motion_1d(ps), BirthModel.empty(), k=1, max_hypotheses=8)
 
         # oracle: w(L) = ps^|L| * sum_{J >= L} (1-ps)^(|J|-|L|) w(J)
         weights = {(): 0.2, (L1,): 0.3, (L2,): 0.1, (L1, L2): 0.4}
@@ -143,7 +143,7 @@ class TestMdglmbPredict:
             MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (g1(10.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
-        pred = mdglmb_predict(d, MotionModel(np.eye(1), [[1e-9]], ps), BirthModel.empty(), k=1)
+        pred = mdglmb_predict(d, MotionModel(np.eye(1), [[1e-9]], ps), BirthModel.empty(), k=1, max_hypotheses=8)
         h = pred.hypothesis(LabelSet((L1,)))
         # {L1} survivor set receives mass 0.5*ps from hypothesis {L1} and
         # 0.5*ps*(1-ps) from {L1,L2}; pdf mean mixes 0 and 10 accordingly
@@ -158,36 +158,30 @@ class TestMdglmbPredict:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def psi_bar(track_pdf, ell, z_index, Z, sensor):
+def psi_bar(track_pdf, z_index, Z, sensor):
     """Expected association likelihood and conditioned pdf for one track.
 
     z_index = 0 is the misdetection branch; z_index = j > 0 conditions on
     measurement Z[j-1].
     """
-    row = _PsiTable(Z, sensor, FilterConfig(), None).row(track_pdf, ell)
+    row = _PsiTable(Z, sensor, None).row(track_pdf)
     return float(row.log_psi[z_index]), row.cond(z_index)
 
 
-def eager_psi_row(table, pdf, label):
+def eager_psi_row(table, pdf):
     """Reference construction: log psi by one log-sum-exp per measurement and
-    every conditioned pdf built up front."""
+    every conditioned pdf built up front from the (n, m, d) posterior means."""
     m = table.Z.size
     log_psi = np.empty(m + 1)
     cond = [pdf] * (m + 1)
     alpha = pdf.log_w - pdf.total_log_weight()
-    if callable(table.pd):
-        pd_vals = np.clip(expected_value_mixture(pdf, lambda x: _eval_state_fn(table.pd, x, label), table.cfg.ut), 0.0, 1.0)
-    else:
-        pd_vals = np.full(pdf.n_components, float(table.pd))
+    pd_vals = np.full(pdf.n_components, float(table.pd))
     with np.errstate(divide="ignore"):
-        log_miss = alpha + np.log1p(-np.minimum(pd_vals, 1.0))
-    log_psi[0] = _lse(log_miss)
-    if callable(table.pd) and np.isfinite(log_psi[0]):
-        keep = np.isfinite(log_miss)
-        cond[0] = GaussianMixture._raw(log_miss[keep] - log_psi[0], pdf.means[keep], pdf.covs[keep], 0.0)
+        log_psi[0] = _lse(alpha + np.log1p(-pd_vals))
     if m:
         sensor = table.sensor
-        ll, mus, covs, _ = unscented_update_mixture(pdf, table.Z, sensor.h, sensor.noise_std**2, sensor.angular, table.cfg.ut)
+        ll, gain, resid, covs, _ = unscented_update_mixture(pdf, table.Z, sensor.h, sensor.noise_std**2, sensor.angular)
+        mus = pdf.means[:, None, :] + gain[:, None, :] * resid[:, :, None]
         with np.errstate(divide="ignore"):
             log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll
         for j in range(m):
@@ -210,20 +204,19 @@ def random_track_pdf(rng, n, spread=100.0, pos_var=1e4):
     return GaussianMixture(rng.normal(size=n), means, np.array(covs))
 
 
-def label_pd(states, label):
-    """State- and label-dependent P_D; zero for L2, so all its detection columns are -inf."""
-    if label == L2:
-        return np.zeros(len(states))
-    return 0.5 + 0.45 * np.tanh(states[:, 0] / 1e3)
+# P_D 0 makes every detection column -inf (P_D 1 does so for the miss
+# column). The id is that of the label-dependent P_D it replaced, which was
+# 0 for one of the two labels, so that the test ids stay the same.
+NO_DETECTION = pytest.param(0.0, id="label_pd")
 
 
 class TestLazyConditioning:
     """The lazy table returns exactly what the eager construction built."""
 
     @staticmethod
-    def assert_rows_equal(table, pdf, label):
-        want_psi, want_cond = eager_psi_row(table, pdf, label)
-        row = table.row(pdf, label)
+    def assert_rows_equal(table, pdf):
+        want_psi, want_cond = eager_psi_row(table, pdf)
+        row = table.row(pdf)
         assert np.array_equal(row.log_psi, want_psi)
         for j in reversed(range(want_psi.size)):
             got = row.cond(j)
@@ -235,7 +228,7 @@ class TestLazyConditioning:
             assert np.array_equal(got.covs, want_cond[j].covs)
             assert got.total_log_weight() == want_cond[j].total_log_weight()
 
-    @pytest.mark.parametrize("pd", [0.8, 1.0, label_pd])
+    @pytest.mark.parametrize("pd", [0.8, 1.0, NO_DETECTION])
     @pytest.mark.parametrize("kind", ["toa", "doa", "linear"])
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mixtures_and_scans(self, seed, kind, pd):
@@ -254,23 +247,21 @@ class TestLazyConditioning:
         lo, hi = sensor.measurement_space
         near = [sensor.h(pdf.means[i]) for i in rng.integers(0, pdf.n_components, 12)]
         Z = np.concatenate([near, rng.uniform(lo, hi, int(rng.integers(0, 4)))])
-        table = _PsiTable(Z, sensor, FilterConfig(), None)
-        for label in (L1, L2):
-            self.assert_rows_equal(table, pdf, label)
+        self.assert_rows_equal(_PsiTable(Z, sensor, None), pdf)
 
-    @pytest.mark.parametrize("pd", [0.8, label_pd])
+    @pytest.mark.parametrize("pd", [0.8, NO_DETECTION])
     def test_no_measurements(self, pd):
         rng = np.random.default_rng(3)
-        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), FilterConfig(), None)
+        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), None)
         pdf = random_track_pdf(rng, 9)
-        self.assert_rows_equal(table, pdf, L1)
-        assert table.row(pdf, L1).log_psi.shape == (1,)
+        self.assert_rows_equal(table, pdf)
+        assert table.row(pdf).log_psi.shape == (1,)
 
     def test_impossible_detection_returns_prior(self):
         rng = np.random.default_rng(5)
-        sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0, detection_prob=label_pd)
+        sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0, detection_prob=0.0)
         pdf = random_track_pdf(rng, 4)
-        row = _PsiTable([100.0, 900.0], sensor, FilterConfig(), None).row(pdf, L2)
+        row = _PsiTable([100.0, 900.0], sensor, None).row(pdf)
         assert np.all(row.log_psi[1:] == -np.inf)
         assert row.cond(1) is pdf and row.cond(2) is pdf
 
@@ -279,13 +270,13 @@ class TestPsiBar:
     def test_constant_pd_misdetection_exact(self):
         sensor = linear_px_sensor(detection_prob=0.7)
         pdf = g4(100.0, 0.0)
-        log_psi, cond = psi_bar(pdf, L1, 0, [], sensor)
+        log_psi, cond = psi_bar(pdf, 0, [], sensor)
         assert log_psi == pytest.approx(math.log(0.3), abs=1e-12)
         assert cond is pdf
 
     def test_certain_detection_misdetect_impossible(self):
         sensor = linear_px_sensor(detection_prob=1.0)
-        log_psi, _ = psi_bar(g4(0.0, 0.0), L1, 0, [], sensor)
+        log_psi, _ = psi_bar(g4(0.0, 0.0), 0, [], sensor)
         assert log_psi == -np.inf
 
     def test_detection_matches_kalman_likelihood(self):
@@ -294,7 +285,7 @@ class TestPsiBar:
         prior_var = 9.0
         pdf = GaussianMixture.single(Gaussian([5.0, 0.0, 0.0, 0.0], np.diag([prior_var, 1.0, 1.0, 1.0])))
         z = 5.0
-        log_psi, cond = psi_bar(pdf, L1, 1, [z], sensor)
+        log_psi, cond = psi_bar(pdf, 1, [z], sensor)
         s = prior_var + 4.0
         kappa = 4.0 / 200.0
         expect = math.log(0.9) + (-0.5 * math.log(2 * math.pi * s)) - math.log(kappa)
@@ -313,8 +304,8 @@ def brute_force_update_weights(predicted, Z, sensor):
             if len(set(pos)) != len(pos):
                 continue
             lw = h.log_weight
-            for i, (lab, pdf) in enumerate(zip(h.label_set, h.pdfs)):
-                psi, _ = psi_bar(pdf, lab, theta[i], Z, sensor)
+            for i, pdf in enumerate(h.pdfs):
+                psi, _ = psi_bar(pdf, theta[i], Z, sensor)
                 lw += psi
             if math.isfinite(lw):
                 out[(h.label_set, theta)] = lw
@@ -417,17 +408,6 @@ class TestLmbPredict:
         assert len(pred) == 10
         assert all(e.existence == pytest.approx(0.09) for e in pred.entries)
         assert all(e.label.birth_time == 4 for e in pred.entries)
-
-    def test_label_dependent_survival(self):
-        def ps(states, label):
-            val = 0.9 if label.birth_time == 0 else 0.4
-            return np.full(np.atleast_2d(states).shape[0], val)
-
-        motion = MotionModel(np.eye(1), [[0.1]], ps)
-        d = LmbDensity((LmbEntry(L1, 0.5, g1(0.0)), LmbEntry(L3, 0.5, g1(1.0))))
-        pred = lmb_predict(d, motion, BirthModel.empty(), k=2)
-        assert pred.entry(L1).existence == pytest.approx(0.45, abs=1e-9)
-        assert pred.entry(L3).existence == pytest.approx(0.2, abs=1e-9)
 
 
 class TestLmbUpdate:

@@ -165,5 +165,5 @@ class TestRunExperiment:
 
     def test_consensus_steps_override(self):
         s = tiny_scenario(trials=1)
-        r0 = run_experiment(s, "consensus-mdglmb", consensus_steps=0, keep_trials=True)
+        r0 = run_experiment(with_overrides(s, consensus_steps=0), "consensus-mdglmb", keep_trials=True)
         assert r0.trial_results[0].bytes_reference == 0

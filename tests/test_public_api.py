@@ -6,6 +6,10 @@ method of a top-level class, must be referenced somewhere in `src/`,
 name, an attribute, or a string equal to the name (perfbench's tracer
 names the functions it patches by string); an import alone is not one.
 API that only the tests call belongs in the tests.
+
+Likewise every defaulted parameter of a public function or method must be
+passed, by keyword or by position, by some call in those directories that
+names the function; an option only tests set belongs in the tests.
 """
 
 import ast
@@ -21,7 +25,8 @@ ALLOWED = {
     "main": "console entry point: `distmot = distmot.cli:main` in pyproject.toml",
 }
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
 
 
 def public_definitions():
@@ -69,3 +74,81 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_names_exist():
     names = {node.name for _, node in public_definitions()}
     assert set(ALLOWED) <= names
+
+
+# Defaulted parameters that no call in the repository passes, with the reason
+# each default stays.
+ALLOWED_DEFAULTS = {
+    "main(argv)": "console entry point: argparse reads sys.argv; tests pass argv to drive the CLI",
+    "fuse_mdglmb(merge_thresh)": "passed by consensus_run through its `fuse` alias, which a name match cannot see",
+    "fuse_lmb(merge_thresh)": "passed by consensus_run through its `fuse` alias, which a name match cannot see",
+}
+
+
+def defaulted_parameters():
+    """(path, function node, parameter name, positional index or None).
+
+    The index of a method parameter counts from after self or cls, as an
+    attribute call passes it.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, FUNCS):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                        yield from _defaults(path, node, 0 if static else 1)
+            elif isinstance(top, FUNCS):
+                yield from _defaults(path, top, 0)
+
+
+def _defaults(path, node, bound):
+    if node.name.startswith("_"):
+        return
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield path, node, positional[i].arg, i - bound
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield path, node, a.arg, None
+
+
+def calls():
+    out: dict[str, list[ast.Call]] = {}
+    for base in CALLERS:
+        for path in sorted(base.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                    if name is not None:
+                        out.setdefault(name, []).append(node)
+    return out
+
+
+def passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call passes the parameter, by keyword or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if index is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > index
+
+
+def test_every_default_is_passed_somewhere():
+    by_name = calls()
+    unpassed = []
+    for path, node, param, index in defaulted_parameters():
+        key = f"{node.name}({param})"
+        if key in ALLOWED_DEFAULTS:
+            continue
+        if not any(passes(c, param, index) for c in by_name.get(node.name, [])):
+            unpassed.append(f"{path.relative_to(ROOT)}:{node.lineno} {key}")
+    assert not unpassed, "defaulted parameters that no call outside the tests passes:\n" + "\n".join(unpassed)
+
+
+def test_default_allowlist_entries_exist():
+    keys = {f"{node.name}({param})" for _, node, param, _ in defaulted_parameters()}
+    assert set(ALLOWED_DEFAULTS) <= keys

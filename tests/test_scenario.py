@@ -153,11 +153,40 @@ def test_labels_distinct_within_birth_step():
 
 def test_with_overrides():
     s = load_scenario("desk_small")
-    s2 = with_overrides(s, clutter_rate=15.0, consensus_steps=3, trials=2, seed=99)
-    assert all(x.clutter_rate == 15.0 for x in s2.sensors)
+    s2 = with_overrides(s, consensus_steps=3, trials=2, seed=99)
     assert s2.consensus_steps == 3 and s2.trials == 2 and s2.seed == 99
+    assert s2.sensors is s.sensors
     # original untouched
-    assert all(x.clutter_rate == 5.0 for x in s.sensors)
+    assert (s.consensus_steps, s.trials) == (1, 20)
+
+
+@pytest.mark.parametrize("pd", [1.5, -0.2, float("nan")])
+def test_detection_prob_outside_unit_interval_rejected(pd):
+    doc = copy.deepcopy(MINIMAL)
+    doc["sensors"][0]["detection_prob"] = pd
+    with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob .* outside \[0, 1\]"):
+        scenario_from_dict(doc)
+    # the regime-wide value is checked the same way
+    del doc["sensors"][0]["detection_prob"]
+    doc["detection_prob"] = pd
+    with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("ps", [1.7, -0.1])
+def test_survival_prob_outside_unit_interval_rejected(ps):
+    doc = copy.deepcopy(MINIMAL)
+    doc["survival_prob"] = ps
+    with pytest.raises(ScenarioError, match=r"survival_prob: .* outside \[0, 1\]"):
+        scenario_from_dict(doc)
+
+
+def test_unit_interval_ends_accepted():
+    doc = copy.deepcopy(MINIMAL)
+    doc["sensors"][0]["detection_prob"] = 0.0
+    doc["survival_prob"] = 1.0
+    s = scenario_from_dict(doc)
+    assert s.sensors[0].detection_prob == 0.0 and s.survival_prob == 1.0
 
 
 def test_yaml_syntax_error_reported(tmp_path):

@@ -8,12 +8,11 @@ import hypothesis.strategies as st
 from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, symmetrize
 from distmot.labels import Label
 from distmot.sensors import (
-    DEFAULT_UT,
     DegenerateGeometryError,
-    UtParams,
     angle_residual,
     simulate_measurements,
     unscented_update_mixture,
+    ut_weights,
     wrap_angle,
 )
 from reference import gm_components, gm_from_components, make_doa, make_toa
@@ -23,9 +22,9 @@ def state(px, py, vx=0.0, vy=0.0):
     return np.array([px, vx, py, vy])
 
 
-def sigma_points(mean, cov, ut=DEFAULT_UT):
+def sigma_points(mean, cov):
     d = mean.size
-    lam, wm, wc = ut.weights(d)
+    lam, wm, wc = ut_weights(d)
     scale = np.linalg.cholesky(symmetrize(cov) * (d + lam))
     pts = np.empty((2 * d + 1, d))
     pts[0] = mean
@@ -34,10 +33,10 @@ def sigma_points(mean, cov, ut=DEFAULT_UT):
     return pts, wm, wc
 
 
-def unscented_update_fn(prior, z, h, noise_var, angular=False, ut=DEFAULT_UT):
+def unscented_update_fn(prior, z, h, noise_var, angular=False):
     """Reference single-Gaussian unscented update against a scalar
     measurement function; DOA residuals are wrapped into (-pi, pi]."""
-    pts, wm, wc = sigma_points(prior.mean, prior.cov, ut)
+    pts, wm, wc = sigma_points(prior.mean, prior.cov)
     hv = np.asarray(h(pts), dtype=float)
     if angular:
         # avoid averaging across the +-pi seam: fold about the central point
@@ -146,13 +145,14 @@ class TestUnscentedUpdate:
         gm = gm_from_components(comps)
         sensor = make_doa((0.0, 0.0), noise_std=math.radians(1.0))
         zs = np.array([0.5, 0.6])
-        ll, mus, covs, ok = unscented_update_mixture(gm, zs, sensor.h, sensor.noise_std**2, True)
+        ll, gain, resid, covs, ok = unscented_update_mixture(gm, zs, sensor.h, sensor.noise_std**2, True)
         assert ok.all()
+        assert gain.shape == (3, 4) and resid.shape == (3, 2)
         for i, (_, g) in enumerate(gm_components(gm)):
             for j, z in enumerate(zs):
                 post, lik = unscented_update_fn(g, z, sensor.h, sensor.noise_std**2, True)
                 assert ll[i, j] == pytest.approx(lik, abs=1e-10)
-                assert np.allclose(mus[i, j], post.mean, atol=1e-8)
+                assert np.allclose(gm.means[i] + gain[i] * resid[i, j], post.mean, atol=1e-8)
                 assert np.allclose(covs[i], post.cov, atol=1e-8)
 
 
@@ -198,7 +198,22 @@ class TestSimulate:
 
 
 def test_ut_params_default_kappa():
-    lam, wm, wc = UtParams().weights(4)
+    lam, wm, wc = ut_weights(4)
     assert lam == pytest.approx(-1.0)
     assert wm.sum() == pytest.approx(1.0)
     assert wm[0] == pytest.approx(-1.0 / 3.0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_ut_weights_equal_the_general_formula(d):
+    """Bit for bit the scaled unscented transform with alpha 1, beta 2 and
+    kappa 3 - d, in the general formula's order of operations."""
+    alpha, beta, kappa = 1.0, 2.0, 3.0 - d
+    lam = alpha**2 * (d + kappa) - d
+    wm = np.full(2 * d + 1, 0.5 / (d + lam))
+    wm[0] = lam / (d + lam)
+    wc = wm.copy()
+    wc[0] += 1.0 - alpha**2 + beta
+    got_lam, got_wm, got_wc = ut_weights(d)
+    assert got_lam == lam and d + got_lam == 3.0
+    assert np.array_equal(got_wm, wm) and np.array_equal(got_wc, wc)
