@@ -1,127 +1,82 @@
 """K-best ranked assignment of tracks to measurements.
 
 An association map is a tuple theta sending track i to measurement index
-theta[i] in 0..|Z|, 0 meaning undetected; both searches produce distinct
-positive entries by construction. Ranking maximizes the summed per-track
-log score. Murty's partitioning over the optimal solutions of scipy's
-linear_sum_assignment generates the maps best-first; misdetection is
-modeled as one dummy column per track.
+theta[i] in 0..|Z|, 0 meaning undetected; no two tracks share a positive
+index. Its score is the sum of its per-track log scores, added in row order
+from 0.0: ((0.0 + s[0, theta[0]]) + s[1, theta[1]]) + ...
+
+One exact depth-first branch-and-bound finds the k best maps. It extends
+theta one track at a time, tries each track's columns best first, and cuts a
+branch once no completion can displace the k-th map it holds. The bound on
+every completion of a prefix is the prefix score plus each remaining track's
+best score, added in the same row order. Floating-point addition is
+monotone, so that bound is never below a completion's score and rounding
+drops no map. Maps are ranked by (-score, theta), theta lexicographic: a
+branch whose bound equals the k-th held score is cut once its prefix sorts
+after the k-th held theta, so ties cost O(k n m) steps, not the whole grid.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
+import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-BIG = 1e12
-
-
-def _expand_cost(log_score: np.ndarray) -> np.ndarray:
-    """(n, 1+m) log scores -> (n, m+n) cost matrix with per-track dummy columns."""
-    n, m1 = log_score.shape
-    m = m1 - 1
-    cost = np.full((n, m + n), BIG)
-    meas = -log_score[:, 1:]
-    cost[:, :m] = np.where(np.isfinite(meas), np.minimum(meas, BIG), BIG)
-    for i in range(n):
-        c = -log_score[i, 0]
-        cost[i, m + i] = c if np.isfinite(c) else BIG
-    return cost
-
-
-def _solve(cost: np.ndarray):
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    if (cost[rows, cols] >= BIG / 2).any():
-        return None, None
-    return cols, total
-
-
-def _score_of(log_score: np.ndarray, theta: tuple[int, ...]) -> float:
-    return float(sum(log_score[i, t] for i, t in enumerate(theta)))
-
-
-@functools.cache
-def _dense_table(n: int, m1: int) -> np.ndarray:
-    """Read-only table of every valid theta vector for n tracks and m1 - 1 measurements."""
-    theta = np.indices((m1,) * n).reshape(n, -1).T
-    valid = np.ones(theta.shape[0], dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            valid &= ~((theta[:, i] == theta[:, j]) & (theta[:, i] > 0))
-    theta = theta[valid]
-    theta.setflags(write=False)
-    return theta
-
-
-def _ranked_dense(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
-    """Vectorized enumeration over all theta vectors; for small instances."""
-    n, m1 = log_score.shape
-    theta = _dense_table(n, m1)
-    scores = log_score[np.arange(n)[None, :], theta].sum(axis=1)
-    finite = np.isfinite(scores)
-    theta, scores = theta[finite], scores[finite]
-    order = np.lexsort(tuple(theta[:, i] for i in reversed(range(n))) + (-scores,))[:k]
-    return [(tuple(int(t) for t in theta[i]), float(scores[i])) for i in order]
-
-
-def _ranked_murty(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
-    """Murty's best-first partitioning; stops once k maps are held."""
-    n, m = log_score.shape[0], log_score.shape[1] - 1
-    cost0 = _expand_cost(log_score)
-    first, total0 = _solve(cost0)
-    if first is None:
-        return []
-
-    results: list[tuple[float, tuple[int, ...]]] = []
-    counter = itertools.count()
-    heap: list = [(total0, next(counter), cost0, first)]
-    seen = set()
-    while heap:
-        total, _, cost, cols = heapq.heappop(heap)
-        theta = tuple(int(c) + 1 if c < m else 0 for c in cols)
-        if theta not in seen:
-            seen.add(theta)
-            score = _score_of(log_score, theta)
-            if np.isfinite(score):
-                results.append((score, theta))
-                if len(results) == k:
-                    break
-        # partition: forbid each assigned pair in turn, force the earlier ones
-        pinned = np.array(cost, copy=True)
-        for i in range(n):
-            sub = np.array(pinned, copy=True)
-            sub[i, cols[i]] = BIG
-            sol, sub_total = _solve(sub)
-            if sol is not None:
-                heapq.heappush(heap, (sub_total, next(counter), sub, sol))
-            pinned[i, :] = BIG
-            pinned[i, cols[i]] = cost[i, cols[i]]
-
-    results.sort(key=lambda t: (-t[0], t[1]))
-    return [(theta, score) for score, theta in results]
+from scipy.optimize import linear_sum_assignment  # noqa: F401  kept bound: perfbench/tracing.py patches this name
 
 
 def ranked_assignments(log_score: np.ndarray, k: int) -> list[tuple[tuple[int, ...], float]]:
     """Top-k association maps theta with their total log scores, descending.
 
     log_score has shape (n_tracks, 1 + n_meas): column 0 is the misdetection
-    score, column j >= 1 the score of measurement j. Maps whose total score
-    is -inf (an impossible pairing) are not returned. Ties are ordered
-    lexicographically on theta. Returns every valid map when k exceeds their
-    number. Instances with at most 4096 candidate vectors are enumerated
-    densely, larger ones searched with Murty's method.
+    score, column j >= 1 the score of measurement j; entries are finite or
+    -inf. Maps whose total score is -inf (an impossible pairing) are not
+    returned. Ties are ordered lexicographically on theta. Returns every
+    valid map when k exceeds their number.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     log_score = np.asarray(log_score, dtype=float)
     n = log_score.shape[0]
-    if n == 0:
-        return [((), 0.0)]
-    if log_score.shape[1] ** n <= 4096:
-        return _ranked_dense(log_score, k)
-    return _ranked_murty(log_score, k)
+    rows = log_score.tolist()
+    order = np.argsort(-log_score, axis=1, kind="stable").tolist()
+    best = [row[cols[0]] for row, cols in zip(rows, order)]
+    held: list[tuple[float, tuple[int, ...]]] = []  # min-heap of (score, -theta): worst held on top
+    theta = [0] * n
+    taken = [False] * log_score.shape[1]
+    thr = -math.inf  # k-th held score; -inf until k maps are held
+    last = None  # k-th held theta
+
+    def extend(i: int, prefix: float) -> None:
+        nonlocal thr, last
+        if i == n:
+            key = (prefix, tuple(-t for t in theta))
+            if len(held) < k:
+                heapq.heappush(held, key)
+            else:
+                heapq.heapreplace(held, key)
+            if len(held) == k:
+                thr, last = held[0][0], [-t for t in held[0][1]]
+            return
+        row, later = rows[i], best[i + 1 :]
+        for c in order[i]:
+            if c and taken[c]:
+                continue
+            score = prefix + row[c]
+            bound = score
+            for b in later:
+                bound += b
+            if bound < thr:
+                break  # the later columns score no higher
+            theta[i] = c
+            # a tie goes on only while theta can still sort before the k-th held map;
+            # with fewer than k held, thr is -inf and no completion is possible
+            if bound == thr and (last is None or theta[: i + 1] > last[: i + 1]):
+                continue
+            taken[c] = True
+            extend(i + 1, score)
+            taken[c] = False
+
+    extend(0, 0.0)
+    del extend  # the closure refers to itself: free the cycle now, not at the next garbage collection
+    return [(tuple(-t for t in neg), score) for score, neg in sorted(held, reverse=True)]

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distmot import assignment
-from distmot.assignment import _dense_table, _ranked_dense, _ranked_murty, ranked_assignments
+from distmot.assignment import ranked_assignments
 
 
 def enumerate_assignment_vectors(n_tracks: int, n_meas: int):
@@ -40,12 +39,11 @@ def test_association_map_rejects_shared_measurement():
     # both tracks strongly prefer measurement 1: (1, 1) would score best,
     # but no map may give one measurement to two tracks
     log_score = np.array([[0.0, 5.0, -5.0], [0.0, 5.0, -5.0]])
-    for search in (_ranked_dense, _ranked_murty, ranked_assignments):
-        got = [theta for theta, _ in search(log_score, 100)]
-        assert (1, 1) not in got and (2, 2) not in got
-        assert (0, 0) in got  # shared misdetection is fine
-        assert got[:2] == [(0, 1), (1, 0)]
-        assert len(got) == 7
+    got = [theta for theta, _ in ranked_assignments(log_score, 100)]
+    assert (1, 1) not in got and (2, 2) not in got
+    assert (0, 0) in got  # shared misdetection is fine
+    assert got[:2] == [(0, 1), (1, 0)]
+    assert len(got) == 7
 
 
 def test_one_track_one_measurement():
@@ -84,22 +82,66 @@ def test_infinite_misdetection_dropped():
     assert [theta for theta, _ in maps] == [(1,)]
 
 
-@given(st.integers(0, 2**31 - 1), st.integers(1, 12))
-@settings(max_examples=40, deadline=None)
-def test_random_instances_match_exhaustive(seed, k):
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.integers(1, 12),
+    st.booleans(),
+    st.sampled_from([0.0, 0.2]),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_instances_match_exhaustive(seed, n, m, k, integer, p_inf):
+    # integer-valued scores make ties common; -inf cells make pairings impossible
     rng = np.random.default_rng(seed)
-    n, m = 3, 4
-    log_score = rng.normal(size=(n, m + 1))
-    expect = exhaustive_assignments(log_score)[:k]
-    for search in (_ranked_dense, _ranked_murty, ranked_assignments):
-        got = search(log_score, k)
-        assert [g[0] for g in got] == [e[0] for e in expect]
-        assert np.allclose([g[1] for g in got], [e[1] for e in expect], atol=1e-12)
-        # every map sends distinct tracks to distinct measurements
-        for theta, _ in got:
-            assert type(theta) is tuple and all(type(t) is int for t in theta)
-            positive = [t for t in theta if t > 0]
-            assert len(set(positive)) == len(positive)
+    log_score = rng.integers(-2, 3, size=(n, m + 1)).astype(float) if integer else rng.normal(size=(n, m + 1))
+    log_score[rng.random(size=(n, m + 1)) < p_inf] = -np.inf
+    got = ranked_assignments(log_score, k)
+    assert got == exhaustive_assignments(log_score)[:k]
+    # every map sends distinct tracks to distinct measurements
+    for theta, score in got:
+        assert type(theta) is tuple and all(type(t) is int for t in theta)
+        assert type(score) is float
+        positive = [t for t in theta if t > 0]
+        assert len(set(positive)) == len(positive)
+
+
+def test_identical_rows_tie_at_kth_map():
+    # tracks 3 and 4 have bit-identical rows, so the maps (0, 3, 4, 0, 2) and
+    # (0, 3, 4, 2, 0) score the same and straddle the k-th position; the
+    # lexicographically smaller one is kept
+    row = [0.96, -0.2, 0.02, 1.55, 0.55, -0.51]
+    log_score = np.array(
+        [
+            [2.04, -2.56, 0.42, -0.57, -0.45, -0.22],
+            [-2.02, -0.23, -0.87, 3.32, 0.23, -0.35],
+            [-0.28, -0.67, -1.06, -0.39, 0.48, -0.24],
+            row,
+            row,
+        ]
+    )
+    expect = exhaustive_assignments(log_score)
+    assert [theta for theta, _ in expect[3:5]] == [(0, 3, 4, 0, 2), (0, 3, 4, 2, 0)]
+    assert expect[3][1] == expect[4][1]
+    assert expect[2][1] > expect[3][1]
+    assert ranked_assignments(log_score, 4) == expect[:4]
+
+
+def test_all_tied_grid_returns_lexicographically_first_maps():
+    # 21**9 maps score 0.0: a search that visited every tied completion would not finish
+    first = itertools.islice(
+        (theta for theta in itertools.product(range(21), repeat=9) if len({t for t in theta if t}) == sum(t > 0 for t in theta)),
+        50,
+    )
+    assert ranked_assignments(np.zeros((9, 21)), 50) == [(theta, 0.0) for theta in first]
+
+
+def test_wide_instance_scores_sum_in_row_order():
+    # nine tracks with scores spread over six decades, where a pairwise sum
+    # differs from the row-order sum in the last bits
+    rng = np.random.default_rng(5)
+    log_score = rng.normal(size=(9, 2)) * 10.0 ** rng.uniform(-3, 3, size=(9, 2))
+    assert ranked_assignments(log_score, 10) == exhaustive_assignments(log_score)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -109,37 +151,8 @@ def test_murty_finds_every_map(seed):
     n, m = 2, 3
     log_score = rng.normal(size=(n, m + 1))
     count = len(list(enumerate_assignment_vectors(n, m)))
-    got = _ranked_murty(log_score, 1000)
+    got = ranked_assignments(log_score, 1000)
     assert len(got) == count
     scores = [s for _, s in got]
     assert scores == sorted(scores, reverse=True)
     assert len({g[0] for g in got}) == count
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
-def test_murty_stops_at_k(monkeypatch, k):
-    # every popped map but the k-th is partitioned into n subproblems
-    rng = np.random.default_rng(k)
-    n, m = 3, 4
-    log_score = rng.normal(size=(n, m + 1))
-    solves = []
-    real = assignment.linear_sum_assignment
-
-    def counting(cost):
-        solves.append(1)
-        return real(cost)
-
-    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
-    got = _ranked_murty(log_score, k)
-    assert len(solves) == 1 + n * (k - 1)
-    assert got == exhaustive_assignments(log_score)[:k]
-
-
-def test_dense_table_is_cached_read_only():
-    table = _dense_table(3, 5)
-    assert _dense_table(3, 5) is table
-    assert not table.flags.writeable
-    assert [tuple(t) for t in table.tolist()] == sorted(enumerate_assignment_vectors(3, 4))
-    log_score = np.random.default_rng(0).normal(size=(3, 5))
-    _ranked_dense(log_score, 4)
-    assert _dense_table(3, 5) is table
