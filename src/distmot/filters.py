@@ -13,7 +13,11 @@ association history index is carried between steps.
 Each update does each piece of work once: psi rows are cached per distinct
 track pdf, the pdf conditioned on a measurement is built only when a ranked
 map selects it, and each distinct marginalized mixture is merged once
-however many hypotheses share it.
+however many hypotheses share it. A label's marginalized mixture is looked
+up by its psi row and the (measurement, log weight offset) pairs it mixes
+before it is built, so a hypothesis that repeats one already seen builds
+nothing; the theta groups of all labels come from one pass over each
+hypothesis's maps.
 
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
@@ -23,6 +27,7 @@ survival probability P_S.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -175,8 +180,6 @@ def _mix_contributions(contribs: list[tuple[float, GaussianMixture]]) -> Gaussia
 
 def _k_best_products(a: list[float], b: list[float], k: int) -> list[tuple[int, int]]:
     """Index pairs of the k largest a[i] + b[j]; both lists sorted descending."""
-    import heapq
-
     heap = [(-(a[0] + b[0]), 0, 0)]
     seen = {(0, 0)}
     out: list[tuple[int, int]] = []
@@ -317,7 +320,7 @@ class _PsiTable:
     map selects, are never built.
     """
 
-    def __init__(self, Z, sensor: SensorModel, diagnostics: UpdateDiagnostics | None):
+    def __init__(self, Z, sensor: SensorModel, diagnostics: UpdateDiagnostics):
         self.Z = np.asarray(Z, dtype=float)
         self.sensor = sensor
         self.diag = diagnostics
@@ -352,7 +355,7 @@ class _PsiTable:
         ll, gain, resid, covs, ok = unscented_update_mixture(
             pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular
         )
-        if self.diag is not None and not ok.all():
+        if not ok.all():
             self.diag.dropped_components += int((~ok).sum())
         with np.errstate(divide="ignore"):
             log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll  # (n, m)
@@ -417,7 +420,7 @@ def mdglmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics | None = None,
+    diagnostics: UpdateDiagnostics,
 ) -> MdGlmbDensity:
     """Measurement update with per-hypothesis ranked assignment, then
     marginalization over association maps within each label set.
@@ -448,18 +451,30 @@ def mdglmb_update(
     for hi, theta, lw in entries:
         by_hyp.setdefault(hi, []).append((theta, lw - total))
 
+    # A label's mixture is fixed by its psi row and the (measurement, log
+    # weight offset) pairs it mixes, so it is looked up by them before it is
+    # built. Only a miss builds it; the content memo behind then catches
+    # mixtures whose offsets differ only in bits that the sum drops.
     reduce_one = _memo_reducer(cfg)
+    reduced: dict[tuple, GaussianMixture] = {}
     hyps = []
     for hi, members in by_hyp.items():
         h = predicted.hypotheses[hi]
+        rows = rows_per_hyp[hi]
         log_w = _lse([w for _, w in members])
+        groups: list[dict[int, list[float]]] = [{} for _ in rows]
+        for theta, w in members:
+            for g, j in zip(groups, theta):
+                g.setdefault(j, []).append(w)
         pdfs = []
-        for i in range(len(h.label_set)):
-            groups: dict[int, list[float]] = {}
-            for theta, w in members:
-                groups.setdefault(theta[i], []).append(w)
-            contribs = [(_lse(ws) - log_w, rows_per_hyp[hi][i].cond(j)) for j, ws in sorted(groups.items())]
-            pdfs.append(reduce_one(_mix_contributions(contribs)))
+        for row, g in zip(rows, groups):
+            contribs = [(_lse(ws) - log_w, j) for j, ws in sorted(g.items())]
+            total = _lse([c for c, _ in contribs])
+            key = (row, tuple((j, c - total) for c, j in contribs))
+            hit = reduced.get(key)
+            if hit is None:
+                hit = reduced[key] = reduce_one(_mix_contributions([(c, row.cond(j)) for c, j in contribs]))
+            pdfs.append(hit)
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
 
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
@@ -491,7 +506,7 @@ def lmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics | None = None,
+    diagnostics: UpdateDiagnostics,
 ) -> LmbDensity:
     """Expand to label-set hypotheses, update, and collapse back to an LMB.
 
@@ -499,7 +514,7 @@ def lmb_update(
     updated hypotheses containing l and p(., l) the matching mixture.
     """
     expanded = lmb_to_mdglmb(predicted, cfg.max_hypotheses)
-    updated = mdglmb_update(expanded, Z, sensor, cfg, diagnostics=diagnostics)
+    updated = mdglmb_update(expanded, Z, sensor, cfg, diagnostics)
     return lmb_from_mdglmb(updated)
 
 
@@ -533,11 +548,11 @@ def centralized_mdglmb_step(
     k: int,
     all_sensor_measurements: list[tuple[SensorModel, np.ndarray]],
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics | None = None,
+    diagnostics: UpdateDiagnostics,
 ) -> MdGlmbDensity:
     """One predict followed by sequential single-sensor updates (iterated corrector)."""
     d = mdglmb_predict(posterior, motion, birth, k, max_hypotheses=cfg.max_hypotheses)
     d = reduce_mdglmb_pdfs(d, cfg)
     for sensor, Z in all_sensor_measurements:
-        d = mdglmb_update(d, Z, sensor, cfg, diagnostics=diagnostics)
+        d = mdglmb_update(d, Z, sensor, cfg, diagnostics)
     return d

@@ -29,10 +29,10 @@ def logsumexp(a) -> float:
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return -np.inf
-    m = float(np.max(a))
+    m = float(a.max())
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    return m + math.log(float(np.exp(a - m).sum()))
 
 # Relative floor on the smallest covariance eigenvalue.
 PD_RTOL = 1e-12
@@ -194,6 +194,17 @@ def gm_key(p: GaussianMixture) -> tuple:
         return key
 
 
+# Pivots whose gates one batched solve computes: enough for nearly every
+# mixture an update reduces, while the (block, unclaimed, d) arrays stay
+# small for the hundreds of components a fused pair of mixtures can have.
+PIVOT_BLOCK = 16
+
+
+def _rows(a: np.ndarray, idx: list[int]) -> np.ndarray:
+    """a[idx] for sorted distinct indices, without a copy when idx is every row."""
+    return a if len(idx) == len(a) else a[idx]
+
+
 def gm_merge_prune_cap(
     p: GaussianMixture,
     merge_thresh: float,
@@ -205,6 +216,16 @@ def gm_merge_prune_cap(
     merge_thresh is the squared-Mahalanobis gate, measured in the metric of
     the heavier (pivot) component of each cluster. Merging is
     moment-preserving. Cap-by-weight ties keep the earlier component.
+
+    Salmond's greedy clustering: the heaviest component still unclaimed is
+    the next pivot and claims every unclaimed component inside its gate.
+    The distances from up to PIVOT_BLOCK unclaimed pivots come from one
+    batched solve over their stacked covariances, whose columns have the
+    bits of a solve per pivot; a mixture truncated to one component needs
+    none. Singleton clusters, the common case, get their moments in one
+    vectorized pass with the arithmetic of a one-member sum. Larger
+    clusters are summed one at a time, since a batched sum could change the
+    summation order.
     """
     if p.n_components == 0:
         return p
@@ -212,39 +233,62 @@ def gm_merge_prune_cap(
         return p if p.log_w[0] == 0.0 else p.normalized()
     w = np.exp(p.log_w - p.total_log_weight())
 
-    order = np.argsort(-w, kind="stable")
-    order = order[(w[order] >= trunc_thresh) & (w[order] > 0.0)]
+    order = (-w).argsort(kind="stable")
+    wo = w[order]
+    order = order[(wo >= trunc_thresh) & (wo > 0.0)]
     if order.size == 0:
         order = np.array([int(np.argmax(w))])
     means, covs, ws = p.means[order], p.covs[order], w[order]  # heaviest first
 
-    merged: list[tuple[float, np.ndarray, np.ndarray]] = []
-    alive = np.ones(order.size, dtype=bool)
-    for i in range(order.size):
+    k = order.size
+    clusters: list[list[int]] = []
+    alive = [True] * k
+    if k == 1:  # its own cluster, with no distance to compute
+        clusters, alive = [[0]], [False]
+    # pivot i -> (columns unclaimed when its block was solved, inside i's gate)
+    gate: dict[int, tuple[list[int], list[bool]]] = {}
+    for i in range(k):
         if not alive[i]:
             continue
-        idx = np.flatnonzero(alive)
-        dx = means[idx] - means[i]
-        sol = np.linalg.solve(covs[i], dx.T).T
-        d2 = np.einsum("ij,ij->i", dx, sol)
-        cluster = idx[d2 <= merge_thresh]
-        cw = ws[cluster]
-        tot = cw.sum()
-        mu = (cw @ means[cluster]) / tot
-        dmu = means[cluster] - mu
-        cov = ((cw[:, None, None] * covs[cluster]).sum(axis=0) + (cw[:, None] * dmu).T @ dmu) / tot
-        merged.append((tot, mu, cov))
-        alive[cluster] = False
+        if i not in gate:
+            cols = [j for j in range(k) if alive[j]]
+            piv = [j for j in cols if j >= i][:PIVOT_BLOCK]
+            diff = _rows(means, cols)[None, :, :] - _rows(means, piv)[:, None, :]
+            sol = np.linalg.solve(_rows(covs, piv), diff.transpose(0, 2, 1)).transpose(0, 2, 1)
+            inside = (np.einsum("ijk,ijk->ij", diff, sol) <= merge_thresh).tolist()
+            gate.update((r, (cols, row)) for r, row in zip(piv, inside))
+        cols, row = gate[i]
+        cluster = [j for j, g in zip(cols, row) if g and alive[j]]
+        for j in cluster:
+            alive[j] = False
+        clusters.append(cluster)
 
-    if len(merged) > max_components:
-        cluster_w = np.array([m[0] for m in merged])
-        top = np.sort(np.argsort(-cluster_w, kind="stable")[:max_components])
-        merged = [merged[i] for i in top]
+    wl = ws.tolist()
+    tots = [wl[c[0]] if len(c) == 1 else ws[c].sum() for c in clusters]
+    if len(clusters) > max_components:
+        top = np.sort(np.argsort(-np.array(tots), kind="stable")[:max_components]).tolist()
+        clusters, tots = [clusters[i] for i in top], [tots[i] for i in top]
 
-    tot = sum(m[0] for m in merged)
-    lw = np.log(np.array([m[0] / tot for m in merged]))
-    mu = np.stack([m[1] for m in merged])
-    cv = np.stack([m[2] for m in merged])
+    # a singleton's moments take the arithmetic of a one-member sum, which
+    # starts from 0.0 and so turns -0.0 into 0.0; they are formed for the
+    # first member of every cluster, and larger clusters overwrite theirs
+    n, d = len(clusters), means.shape[1]
+    if any(len(c) == 1 for c in clusters):
+        first = [c[0] for c in clusters]
+        sw, sm = _rows(ws, first)[:, None], _rows(means, first)
+        mu = (0.0 + sw * sm) / sw
+        dmu = sm - mu
+        cv = (sw[:, :, None] * _rows(covs, first) + (0.0 + (sw * dmu)[:, :, None] * dmu[:, None, :])) / sw[:, :, None]
+    else:
+        mu, cv = np.empty((n, d)), np.empty((n, d, d))
+    for out, cluster in enumerate(clusters):
+        if len(cluster) != 1:
+            cw, tot = ws[cluster], tots[out]
+            mu[out] = (cw @ means[cluster]) / tot
+            dmu = means[cluster] - mu[out]
+            cv[out] = ((cw[:, None, None] * covs[cluster]).sum(axis=0) + (cw[:, None] * dmu).T @ dmu) / tot
+
+    lw = np.log(np.array(tots) / sum(tots))
     return GaussianMixture._raw(lw, mu, cv, 0.0)
 
 

@@ -159,6 +159,59 @@ def gm_covariance(p: GaussianMixture) -> np.ndarray:
     return np.einsum("i,ijk->jk", w, p.covs) + np.einsum("i,ij,ik->jk", w, dx, dx)
 
 
+def gm_merge_prune_cap_loop(
+    p: GaussianMixture,
+    merge_thresh: float,
+    trunc_thresh: float,
+    max_components: int,
+) -> GaussianMixture:
+    """gm_merge_prune_cap with one solve and one moment sum per pivot.
+
+    The package's version batches the pivot metric and the singleton
+    moments; it must return these arrays bit for bit.
+    """
+    if p.n_components == 0:
+        return p
+    if p.n_components == 1:
+        return p if p.log_w[0] == 0.0 else p.normalized()
+    w = np.exp(p.log_w - p.total_log_weight())
+
+    order = np.argsort(-w, kind="stable")
+    order = order[(w[order] >= trunc_thresh) & (w[order] > 0.0)]
+    if order.size == 0:
+        order = np.array([int(np.argmax(w))])
+    means, covs, ws = p.means[order], p.covs[order], w[order]  # heaviest first
+
+    merged: list[tuple[float, np.ndarray, np.ndarray]] = []
+    alive = np.ones(order.size, dtype=bool)
+    for i in range(order.size):
+        if not alive[i]:
+            continue
+        idx = np.flatnonzero(alive)
+        dx = means[idx] - means[i]
+        sol = np.linalg.solve(covs[i], dx.T).T
+        d2 = np.einsum("ij,ij->i", dx, sol)
+        cluster = idx[d2 <= merge_thresh]
+        cw = ws[cluster]
+        tot = cw.sum()
+        mu = (cw @ means[cluster]) / tot
+        dmu = means[cluster] - mu
+        cov = ((cw[:, None, None] * covs[cluster]).sum(axis=0) + (cw[:, None] * dmu).T @ dmu) / tot
+        merged.append((tot, mu, cov))
+        alive[cluster] = False
+
+    if len(merged) > max_components:
+        cluster_w = np.array([m[0] for m in merged])
+        top = np.sort(np.argsort(-cluster_w, kind="stable")[:max_components])
+        merged = [merged[i] for i in top]
+
+    tot = sum(m[0] for m in merged)
+    lw = np.log(np.array([m[0] / tot for m in merged]))
+    mu = np.stack([m[1] for m in merged])
+    cv = np.stack([m[2] for m in merged])
+    return GaussianMixture._raw(lw, mu, cv, 0.0)
+
+
 # --- delta-GLMB with association tags -----------------------------------------
 
 

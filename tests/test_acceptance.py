@@ -23,7 +23,7 @@ from distmot.densities import (
     cardinality_distribution_mdglmb,
     intensity_mdglmb,
 )
-from distmot.filters import FilterConfig, mdglmb_update
+from distmot.filters import FilterConfig, UpdateDiagnostics, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.harness import run_experiment, run_trial, trial_seed_for
@@ -220,9 +220,9 @@ def test_criterion_5_update_exhaustive_vs_ranked(monkeypatch):
     ])
     Z = [-3.2, 5.9]
     cfg = FilterConfig(assignments_per_hypothesis=16)
-    a = mdglmb_update(predicted, Z, LinearSensor(), cfg)
+    a = mdglmb_update(predicted, Z, LinearSensor(), cfg, UpdateDiagnostics())
     monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-    b = mdglmb_update(predicted, Z, LinearSensor(), cfg)
+    b = mdglmb_update(predicted, Z, LinearSensor(), cfg, UpdateDiagnostics())
     assert len(a) == len(b)
     worst = 0.0
     for ha, hb in zip(a.hypotheses, b.hypotheses):

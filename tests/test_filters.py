@@ -20,6 +20,7 @@ from distmot.filters import (
     BirthModel,
     FilterConfig,
     MotionModel,
+    UpdateDiagnostics,
     centralized_mdglmb_step,
     extract_estimates_lmb,
     extract_estimates_mdglmb,
@@ -31,8 +32,9 @@ from distmot.filters import (
     mdglmb_update,
     ncv_motion_model,
 )
-from distmot.filters import _lse, _PsiTable
-from distmot.gm import Gaussian, GaussianMixture
+from distmot.assignment import ranked_assignments
+from distmot.filters import _lse, _mix_contributions, _PsiTable
+from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.sensors import unscented_update_mixture
 from reference import gm_covariance, gm_mean, make_doa, make_toa
@@ -164,7 +166,7 @@ def psi_bar(track_pdf, z_index, Z, sensor):
     z_index = 0 is the misdetection branch; z_index = j > 0 conditions on
     measurement Z[j-1].
     """
-    row = _PsiTable(Z, sensor, None).row(track_pdf)
+    row = _PsiTable(Z, sensor, UpdateDiagnostics()).row(track_pdf)
     return float(row.log_psi[z_index]), row.cond(z_index)
 
 
@@ -247,12 +249,12 @@ class TestLazyConditioning:
         lo, hi = sensor.measurement_space
         near = [sensor.h(pdf.means[i]) for i in rng.integers(0, pdf.n_components, 12)]
         Z = np.concatenate([near, rng.uniform(lo, hi, int(rng.integers(0, 4)))])
-        self.assert_rows_equal(_PsiTable(Z, sensor, None), pdf)
+        self.assert_rows_equal(_PsiTable(Z, sensor, UpdateDiagnostics()), pdf)
 
     @pytest.mark.parametrize("pd", [0.8, NO_DETECTION])
     def test_no_measurements(self, pd):
         rng = np.random.default_rng(3)
-        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), None)
+        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), UpdateDiagnostics())
         pdf = random_track_pdf(rng, 9)
         self.assert_rows_equal(table, pdf)
         assert table.row(pdf).log_psi.shape == (1,)
@@ -261,7 +263,7 @@ class TestLazyConditioning:
         rng = np.random.default_rng(5)
         sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0, detection_prob=0.0)
         pdf = random_track_pdf(rng, 4)
-        row = _PsiTable([100.0, 900.0], sensor, None).row(pdf)
+        row = _PsiTable([100.0, 900.0], sensor, UpdateDiagnostics()).row(pdf)
         assert np.all(row.log_psi[1:] == -np.inf)
         assert row.cond(1) is pdf and row.cond(2) is pdf
 
@@ -322,7 +324,7 @@ class TestMdglmbUpdate:
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         cfg = FilterConfig()
-        post = mdglmb_update(d, [], sensor, cfg)
+        post = mdglmb_update(d, [], sensor, cfg, UpdateDiagnostics())
         # weights 0.5 : 0.5*0.1, renormalized; ranking shifts toward the empty set
         w0 = math.exp(post.hypothesis(EMPTY_LABEL_SET).log_weight)
         w1 = math.exp(post.hypothesis(LabelSet((L1,))).log_weight)
@@ -334,7 +336,7 @@ class TestMdglmbUpdate:
         pdf = g4(0.0, 0.0, pos_var=4.0, vel_var=1.0)
         d = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (pdf,)),))
         z = 1.0
-        post = mdglmb_update(d, [z], sensor, FilterConfig(gm_merge_thresh=0.0, gm_trunc_thresh=0.0))
+        post = mdglmb_update(d, [z], sensor, FilterConfig(gm_merge_thresh=0.0, gm_trunc_thresh=0.0), UpdateDiagnostics())
         # only hypothesis is {L1}; its pdf mixes the miss and hit branches.
         # hand-computed psi values:
         s = 4.0 + 1.0
@@ -361,7 +363,7 @@ class TestMdglmbUpdate:
         Z = [-4.0, 7.0]
         cfg = FilterConfig()
         monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-        post = mdglmb_update(d, Z, sensor, cfg)
+        post = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
         table = brute_force_update_weights(d, Z, sensor)
         for h in post.hypotheses:
             expect = math.log(sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set))
@@ -376,9 +378,9 @@ class TestMdglmbUpdate:
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-2.5, 3.5]
         cfg = FilterConfig(assignments_per_hypothesis=16)
-        a = mdglmb_update(d, Z, sensor, cfg)
+        a = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
         monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-        b = mdglmb_update(d, Z, sensor, cfg)
+        b = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
         assert len(a) == len(b)
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.label_set == hb.label_set
@@ -391,9 +393,76 @@ class TestMdglmbUpdate:
             MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.4), ()),
             MdGlmbHypothesis(LabelSet((L1,)), math.log(0.6), (pdf,)),
         ])
-        post = mdglmb_update(d, [], sensor, FilterConfig())
+        post = mdglmb_update(d, [], sensor, FilterConfig(), UpdateDiagnostics())
         assert np.allclose(cardinality_distribution_mdglmb(post), [0.4, 0.6], atol=1e-12)
         assert np.allclose(post.hypothesis(LabelSet((L1,))).pdfs[0].means, pdf.means)
+
+
+def rebuilt_update(predicted, Z, sensor, cfg):
+    """mdglmb_update that builds and merges every label's mixture anew,
+    grouping maps by measurement one label at a time."""
+    table = _PsiTable(Z, sensor, UpdateDiagnostics())
+    scored = []
+    for h in predicted.hypotheses:
+        rows = [table.row(pdf) for pdf in h.pdfs]
+        log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, table.Z.size + 1))
+        maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis)]
+        scored.append((h, rows, maps))
+    total = _lse([w for _, _, maps in scored for _, w in maps])
+    hyps = []
+    for h, rows, maps in scored:
+        members = [(theta, w - total) for theta, w in maps]
+        log_w = _lse([w for _, w in members])
+        pdfs = []
+        for i, row in enumerate(rows):
+            groups: dict[int, list[float]] = {}
+            for theta, w in members:
+                groups.setdefault(theta[i], []).append(w)
+            contribs = [(_lse(ws) - log_w, row.cond(j)) for j, ws in sorted(groups.items())]
+            mixed = _mix_contributions(contribs)
+            pdfs.append(gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components))
+        hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
+    hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
+    return MdGlmbDensity.from_unnormalized(hyps)
+
+
+class TestUpdateMemo:
+    def test_one_merge_per_row_and_contributions(self, monkeypatch):
+        # L1 and L2 carry one shared pdf in hypotheses of equal weight, so
+        # {L1} and {L2}, and {L1, L3} and {L2, L3}, get the same maps and
+        # weights: 6 label mixtures, 3 distinct (row, contributions)
+        sensor = linear_px_sensor(noise_std=1.0, clutter_rate=3.0, detection_prob=0.9, space=(-60.0, 60.0))
+        shared, other = g4(-5.0, 0.0, pos_var=4.0), g4(6.0, 0.0, pos_var=9.0)
+        d = MdGlmbDensity.from_unnormalized([
+            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.1), ()),
+            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.2), (shared,)),
+            MdGlmbHypothesis(LabelSet((L2,)), math.log(0.2), (shared,)),
+            MdGlmbHypothesis(LabelSet((L1, L3)), math.log(0.25), (shared, other)),
+            MdGlmbHypothesis(LabelSet((L2, L3)), math.log(0.25), (shared, other)),
+        ])
+        Z = [-4.0, 7.0]
+        cfg = FilterConfig()
+        want = rebuilt_update(d, Z, sensor, cfg)
+
+        calls = {"merge": 0, "mix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(filters, "gm_merge_prune_cap", counted("merge", filters.gm_merge_prune_cap))
+        monkeypatch.setattr(filters, "_mix_contributions", counted("mix", filters._mix_contributions))
+        got = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        assert calls == {"merge": 3, "mix": 3}
+
+        assert len(got) == len(want) == 5
+        for a, b in zip(got.hypotheses, want.hypotheses):
+            assert a.label_set == b.label_set and a.log_weight == b.log_weight
+            for p, q in zip(a.pdfs, b.pdfs):
+                for x, y in ((p.log_w, q.log_w), (p.means, q.means), (p.covs, q.covs)):
+                    assert x.tobytes() == y.tobytes()
 
 
 class TestLmbPredict:
@@ -414,7 +483,7 @@ class TestLmbUpdate:
     def test_vacuous_update_is_identity(self):
         sensor = linear_px_sensor(detection_prob=0.0, clutter_rate=0.0)
         d = LmbDensity((LmbEntry(L1, 0.4, g4(0.0, 0.0)), LmbEntry(L2, 0.7, g4(5.0, 0.0))))
-        post = lmb_update(d, [], sensor, FilterConfig())
+        post = lmb_update(d, [], sensor, FilterConfig(), UpdateDiagnostics())
         for lab in (L1, L2):
             assert post.entry(lab).existence == pytest.approx(d.entry(lab).existence, abs=1e-12)
             assert np.allclose(post.entry(lab).pdf.means, d.entry(lab).pdf.means)
@@ -425,7 +494,7 @@ class TestLmbUpdate:
         pdf = g4(0.0, 0.0, pos_var=4.0)
         d = LmbDensity((LmbEntry(L1, r, pdf),))
         z = 0.5
-        post = lmb_update(d, [z], sensor, FilterConfig())
+        post = lmb_update(d, [z], sensor, FilterConfig(), UpdateDiagnostics())
         # three (I, theta) pairs: (empty), ({L1}, miss), ({L1}, hit)
         s = 5.0
         q = math.exp(-0.5 * (math.log(2 * math.pi * s) + z * z / s))
@@ -441,9 +510,9 @@ class TestLmbUpdate:
         d = LmbDensity((LmbEntry(L1, 0.4, g4(-4.0, 0.0, pos_var=4.0)), LmbEntry(L2, 0.6, g4(5.0, 0.0, pos_var=4.0))))
         cfg = FilterConfig()
         expanded = lmb_to_mdglmb(d, cfg.max_hypotheses)
-        updated = mdglmb_update(expanded, [-3.0, 6.0], sensor, cfg)
+        updated = mdglmb_update(expanded, [-3.0, 6.0], sensor, cfg, UpdateDiagnostics())
         collapsed = lmb_from_mdglmb(updated)
-        post = lmb_update(d, [-3.0, 6.0], sensor, cfg)
+        post = lmb_update(d, [-3.0, 6.0], sensor, cfg, UpdateDiagnostics())
         for lab in (L1, L2):
             mass, _ = intensity_mdglmb(updated, lab)
             assert post.entry(lab).existence == pytest.approx(mass, abs=1e-9)
@@ -511,10 +580,10 @@ class TestCentralized:
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.5]
-        a = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg)
+        a = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg, UpdateDiagnostics())
         from distmot.filters import reduce_mdglmb_pdfs
 
-        b = mdglmb_update(reduce_mdglmb_pdfs(mdglmb_predict(prior, motion, birth, 0, cfg.max_hypotheses), cfg), Z, sensor, cfg)
+        b = mdglmb_update(reduce_mdglmb_pdfs(mdglmb_predict(prior, motion, birth, 0, cfg.max_hypotheses), cfg), Z, sensor, cfg, UpdateDiagnostics())
         assert len(a) == len(b)
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.label_set == hb.label_set
@@ -527,8 +596,8 @@ class TestCentralized:
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.3]
-        one = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg)
-        two = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z), (sensor, Z)], cfg)
+        one = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg, UpdateDiagnostics())
+        two = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z), (sensor, Z)], cfg, UpdateDiagnostics())
         lab = Label(0, 1)
         h1 = one.hypothesis(LabelSet((lab,)))
         h2 = two.hypothesis(LabelSet((lab,)))
@@ -543,8 +612,8 @@ class TestCentralized:
         motion = ncv_motion_model(1.0, 0.5)
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
-        a = centralized_mdglmb_step(prior, motion, birth, 0, [(s1, [0.4]), (s2, [0.6])], cfg)
-        b = centralized_mdglmb_step(prior, motion, birth, 0, [(s2, [0.6]), (s1, [0.4])], cfg)
+        a = centralized_mdglmb_step(prior, motion, birth, 0, [(s1, [0.4]), (s2, [0.6])], cfg, UpdateDiagnostics())
+        b = centralized_mdglmb_step(prior, motion, birth, 0, [(s2, [0.6]), (s1, [0.4])], cfg, UpdateDiagnostics())
         import numpy as _np
 
         ca = int(_np.argmax(cardinality_distribution_mdglmb(a)))

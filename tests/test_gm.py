@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from distmot.gm import (
+    PIVOT_BLOCK,
     Gaussian,
     GaussianMixture,
     PositiveDefiniteError,
@@ -24,6 +25,7 @@ from reference import (
     gm_covariance,
     gm_from_components,
     gm_mean,
+    gm_merge_prune_cap_loop,
     gm_pdf,
 )
 
@@ -341,6 +343,88 @@ class TestMergePruneCap:
         p = random_mixture(rng, 2, 6)
         out = gm_merge_prune_cap(p, 4.0, 1e-3, 3)
         assert abs(out.total_log_weight()) < 1e-9
+
+
+def assert_merge_matches_loop(p, merge_thresh, trunc_thresh, max_components):
+    got = gm_merge_prune_cap(p, merge_thresh, trunc_thresh, max_components)
+    want = gm_merge_prune_cap_loop(p, merge_thresh, trunc_thresh, max_components)
+    for a, b in ((got.log_w, want.log_w), (got.means, want.means), (got.covs, want.covs)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+def clustered_mixture(rng, d, n, weights=None):
+    """n random components whose means lie close enough for some to merge."""
+    a = rng.normal(size=(n, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.3 * np.eye(d)
+    means = rng.normal(scale=rng.choice([0.5, 2.0, 5.0]), size=(n, d))
+    w = rng.dirichlet(np.ones(n)) if weights is None else np.asarray(weights, dtype=float)
+    return GaussianMixture(np.log(w), means, covs)
+
+
+class TestMergeMatchesLoop:
+    """The batched pivot metric and singleton moments give the bits of one
+    solve and one moment sum per pivot (reference.gm_merge_prune_cap_loop)."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_mixtures(self, n, d):
+        rng = np.random.default_rng(100 * d + n)
+        for _ in range(6):
+            p = clustered_mixture(rng, d, n)
+            for thresh in (0.0, 4.0, 1e9):
+                for trunc, cap in ((0.0, 25), (1e-2, 3), (0.2, 1)):
+                    assert_merge_matches_loop(p, thresh, trunc, cap)
+
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_wide_mixtures_span_pivot_blocks(self, n):
+        assert n > PIVOT_BLOCK
+        rng = np.random.default_rng(n)
+        p = clustered_mixture(rng, 4, n)
+        for thresh in (0.0, 4.0, 1e9):
+            assert_merge_matches_loop(p, thresh, 0.0, n)
+            assert_merge_matches_loop(p, thresh, 1e-3, 10)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_equal_weights_keep_stable_order(self, n):
+        rng = np.random.default_rng(n)
+        p = clustered_mixture(rng, 4, n, weights=np.full(n, 1.0 / n))
+        for thresh in (0.0, 4.0, 1e9):
+            for cap in (1, 2, 25):
+                assert_merge_matches_loop(p, thresh, 0.0, cap)
+
+    def test_truncation_to_one_component(self):
+        rng = np.random.default_rng(7)
+        p = clustered_mixture(rng, 4, 6, weights=[0.005, 0.97, 0.005, 0.01, 0.005, 0.005])
+        assert assert_merge_matches_loop(p, 4.0, 0.05, 25).n_components == 1
+        # every weight below the threshold: the heaviest one is kept
+        assert assert_merge_matches_loop(p, 4.0, 0.99, 25).n_components == 1
+
+    def test_cap_below_cluster_count(self):
+        n = 9
+        means = np.arange(n, dtype=float)[:, None] * np.array([[100.0, 0.0, -50.0, 1.0]])
+        covs = np.tile(np.eye(4), (n, 1, 1))
+        p = GaussianMixture(np.log(np.linspace(1.0, 2.0, n) / np.linspace(1.0, 2.0, n).sum()), means, covs)
+        assert assert_merge_matches_loop(p, 4.0, 0.0, 4).n_components == 4
+
+    @pytest.mark.parametrize("r, merged", [(2.0, True), (np.nextafter(2.0, 3.0), False), (np.nextafter(2.0, 1.0), True)])
+    def test_pair_at_the_gate(self, r, merged):
+        # pivot at the origin with unit covariance: the pair's distance is r^2
+        p = GaussianMixture(np.log([0.6, 0.4]), [[0.0, 0.0], [r, 0.0]], [np.eye(2), 2.0 * np.eye(2)])
+        out = assert_merge_matches_loop(p, 4.0, 0.0, 25)
+        assert out.n_components == (1 if merged else 2)
+
+    def test_signed_zeros(self):
+        # a one-member sum turns -0.0 into 0.0; the batched singletons must too
+        rng = np.random.default_rng(11)
+        p = clustered_mixture(rng, 4, 5)
+        means = p.means.copy()
+        means[:, 1] = -0.0
+        covs = np.tile(np.diag([1.0, 2.0, 3.0, 4.0]), (5, 1, 1))
+        covs[:, ~np.eye(4, dtype=bool)] = -0.0
+        q = GaussianMixture._raw(p.log_w, means, covs)
+        for thresh in (0.0, 4.0):
+            assert_merge_matches_loop(q, thresh, 0.0, 25)
 
 
 class TestMixtureBasics:

@@ -111,7 +111,7 @@ class TestRunTrial:
         # one broadcast per node per round: reference bytes follow
         # 4 * (1 + 14 |L|) summed over the broadcasting nodes
         from distmot.densities import LmbDensity
-        from distmot.filters import lmb_predict, lmb_prune, lmb_update
+        from distmot.filters import UpdateDiagnostics, lmb_predict, lmb_prune, lmb_update
 
         s = tiny_scenario()
         r = run_trial(s, "consensus-lmb", trial_seed_for(s.seed, 0))
@@ -127,7 +127,7 @@ class TestRunTrial:
         for i, sen in enumerate(s.sensors):
             z = simulate_measurements(truth[0], sen, rngs[i])
             d = lmb_prune(
-                lmb_update(lmb_predict(LmbDensity.empty(), motion, s.birth, 0), z, sen, cfg),
+                lmb_update(lmb_predict(LmbDensity.empty(), motion, s.birth, 0), z, sen, cfg, UpdateDiagnostics()),
                 cfg.lmb_prune_thresh, cfg.max_hypotheses,
             )
             expected_first += exchange_bytes_reference(d)
