@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -81,7 +80,7 @@ class MotionModel:
         object.__setattr__(self, "noise_cov", q)
 
 
-def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_prob: float = 0.99) -> MotionModel:
+def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_prob: float) -> MotionModel:
     """Nearly-constant-velocity model on [px, vx, py, vy]."""
     t = sampling_interval
     f1 = np.array([[1.0, t], [0.0, 1.0]])
@@ -352,9 +351,7 @@ class _PsiTable:
 
         if not m:
             return _PsiRow(log_psi, pdf, None, None, None, None, None)
-        ll, gain, resid, covs, ok = unscented_update_mixture(
-            pdf, self.Z, self.sensor.h, self.sensor.noise_std**2, self.sensor.angular
-        )
+        ll, gain, resid, covs, ok = unscented_update_mixture(pdf, self.Z, self.sensor)
         if not ok.all():
             self.diag.dropped_components += int((~ok).sum())
         with np.errstate(divide="ignore"):
@@ -372,8 +369,11 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else -np.inf
 
 
-def _memo_reducer(cfg: FilterConfig) -> Callable[[GaussianMixture], GaussianMixture]:
-    """gm_merge_prune_cap under cfg, run once per distinct mixture content."""
+def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
+    """Merge/prune/cap every per-label mixture; hypothesis weights unchanged.
+
+    Mixtures shared between hypotheses are reduced once.
+    """
     cache: dict[tuple, GaussianMixture] = {}
 
     def reduce_one(p: GaussianMixture) -> GaussianMixture:
@@ -383,15 +383,6 @@ def _memo_reducer(cfg: FilterConfig) -> Callable[[GaussianMixture], GaussianMixt
             hit = cache[key] = gm_merge_prune_cap(p, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
         return hit
 
-    return reduce_one
-
-
-def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
-    """Merge/prune/cap every per-label mixture; hypothesis weights unchanged.
-
-    Mixtures shared between hypotheses are reduced once.
-    """
-    reduce_one = _memo_reducer(cfg)
     hyps = [
         MdGlmbHypothesis(h.label_set, h.log_weight, tuple(reduce_one(p) for p in h.pdfs))
         for h in d.hypotheses
@@ -452,10 +443,8 @@ def mdglmb_update(
         by_hyp.setdefault(hi, []).append((theta, lw - total))
 
     # A label's mixture is fixed by its psi row and the (measurement, log
-    # weight offset) pairs it mixes, so it is looked up by them before it is
-    # built. Only a miss builds it; the content memo behind then catches
-    # mixtures whose offsets differ only in bits that the sum drops.
-    reduce_one = _memo_reducer(cfg)
+    # weight offset) pairs it mixes, so it is looked up by them and only a
+    # miss builds and reduces it.
     reduced: dict[tuple, GaussianMixture] = {}
     hyps = []
     for hi, members in by_hyp.items():
@@ -473,7 +462,8 @@ def mdglmb_update(
             key = (row, tuple((j, c - total) for c, j in contribs))
             hit = reduced.get(key)
             if hit is None:
-                hit = reduced[key] = reduce_one(_mix_contributions([(c, row.cond(j)) for c, j in contribs]))
+                mixed = _mix_contributions([(c, row.cond(j)) for c, j in contribs])
+                hit = reduced[key] = gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
             pdfs.append(hit)
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
 

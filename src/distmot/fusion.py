@@ -1,4 +1,4 @@
-"""Kullback-Leibler-average fusion of labeled densities and consensus runs.
+"""Kullback-Leibler-average fusion of labeled densities and one consensus round.
 
 The weighted KLA of multi-object densities is their normalized weighted
 geometric mean. For marginalized delta-GLMBs the fused weight of a label
@@ -8,9 +8,12 @@ Gaussian-mixture fusion itself so weight and pdf fusion stay consistent.
 For LMBs the fused existence is r_tilde / (q_tilde + r_tilde) with
 q_tilde = prod (1 - r_i)^{w_i} and r_tilde = eta * prod r_i^{w_i}.
 
-Fusion weights are taken as given: consensus weights enter through
-`network.ConsensusMatrix`, which checks that they are non-negative and
-that each row sums to 1.
+One consensus round, as each node runs it in the paper: fuse the
+in-neighbours' densities with the node's consensus weights, merging the
+fold accumulator at the filter's merge threshold, then reduce the fused
+mixtures. Fusion weights are taken as given: consensus weights enter
+through `network.ConsensusMatrix`, which checks that they are non-negative
+and that each row sums to 1.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class FusionDegenerateWarning(UserWarning):
 
 def fuse_mdglmb(
     inputs: list[tuple[MdGlmbDensity, float]],
-    merge_thresh: float | None = None,
+    merge_thresh: float,
 ) -> MdGlmbDensity:
     """Weighted KLA of marginalized delta-GLMB densities.
 
@@ -64,7 +67,7 @@ def fuse_mdglmb(
             key = tuple(gm_key(p) for p, _ in parts)
             hit = fused_cache.get(key)
             if hit is None:
-                hit = gm_chernoff_multi(parts, merge_thresh=merge_thresh)
+                hit = gm_chernoff_multi(parts, merge_thresh)
                 fused_cache[key] = hit
             fused, log_eta = hit
             pdfs.append(fused)
@@ -80,7 +83,7 @@ def fuse_mdglmb(
 
 def fuse_lmb(
     inputs: list[tuple[LmbDensity, float]],
-    merge_thresh: float | None = None,
+    merge_thresh: float,
 ) -> LmbDensity:
     """Weighted KLA of LMB densities.
 
@@ -99,7 +102,7 @@ def fuse_lmb(
     entries = []
     for lab in sorted(common):
         per_input = [(d.entry(lab), w) for d, w in active]
-        fused_pdf, log_eta = gm_chernoff_multi([(e.pdf, w) for e, w in per_input], merge_thresh=merge_thresh)
+        fused_pdf, log_eta = gm_chernoff_multi([(e.pdf, w) for e, w in per_input], merge_thresh)
         log_q = sum(w * math.log1p(-e.existence) if e.existence < 1.0 else -math.inf for e, w in per_input)
         log_r_prod = sum(w * math.log(e.existence) if e.existence > 0.0 else -math.inf for e, w in per_input)
         log_r = log_eta + log_r_prod
@@ -118,18 +121,14 @@ def consensus_run(
     node_densities: list,
     g: NetworkGraph,
     omega: ConsensusMatrix,
-    n_rounds: int,
-    cfg: FilterConfig | None = None,
+    cfg: FilterConfig,
 ) -> list:
-    """Synchronous consensus: each round every node fuses its in-neighbours'
+    """One synchronous consensus round: every node fuses its in-neighbours'
     densities with its consensus-matrix weights, then reduces the mixtures.
 
-    Densities are immutable snapshots; all fusions in a round read the
-    previous round's output. The density type (M-delta-GLMB or LMB) picks
-    the fusion and reduction once per call. Node densities are fused as
-    given; with cfg, each fold accumulator is merged at cfg.gm_merge_thresh
-    and every fused density is reduced, without cfg nothing is merged.
-    n_rounds = 0 returns the inputs unchanged.
+    Densities are immutable snapshots, so every fusion reads the inputs.
+    The density type (M-delta-GLMB or LMB) picks the fusion and reduction.
+    Each fold accumulator is merged at cfg.gm_merge_thresh.
     """
     if len(node_densities) != len(g.nodes):
         raise ValueError("one density per graph node required")
@@ -141,14 +140,9 @@ def consensus_run(
         fuse, reduce = fuse_lmb, reduce_lmb_pdfs
     else:
         raise TypeError(f"cannot fuse densities of type {type(node_densities[0]).__name__}")
-    merge_thresh = cfg.gm_merge_thresh if cfg is not None else None
-    current = list(node_densities)
     index = {node: i for i, node in enumerate(g.nodes)}
-    for _ in range(n_rounds):
-        new = []
-        for node in g.nodes:
-            pairs = [(current[index[j]], omega.weight(node, j)) for j in g.in_neighbours(node)]
-            fused = fuse(pairs, merge_thresh=merge_thresh)
-            new.append(fused if cfg is None else reduce(fused, cfg))
-        current = new
-    return current
+    out = []
+    for node in g.nodes:
+        pairs = [(node_densities[index[j]], omega.weight(node, j)) for j in g.in_neighbours(node)]
+        out.append(reduce(fuse(pairs, cfg.gm_merge_thresh), cfg))
+    return out

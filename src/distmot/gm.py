@@ -169,7 +169,7 @@ class GaussianMixture:
     def total_log_weight(self) -> float:
         return self._log_total
 
-    def is_normalized(self, atol: float = 1e-9) -> bool:
+    def is_normalized(self, atol: float) -> bool:
         return self.n_components > 0 and abs(self.total_log_weight()) <= atol
 
     def normalized(self) -> "GaussianMixture":
@@ -382,7 +382,7 @@ def gm_chernoff_pair(
 
 def gm_chernoff_multi(
     inputs: list[tuple[GaussianMixture, float]],
-    merge_thresh: float | None = None,
+    merge_thresh: float,
 ) -> tuple[GaussianMixture, float]:
     """Weighted geometric mean of several mixtures by folded pairwise fusion.
 
@@ -392,9 +392,9 @@ def gm_chernoff_multi(
     which telescopes to log integral(prod p_i^w_i). A single input is
     returned unchanged with zero log-mass.
 
-    With merge_thresh set, the fold accumulator is merged at that threshold
-    before each further pairwise step, since close components degrade the
-    pairwise approximation; the inputs are fused as given.
+    The fold accumulator is merged at merge_thresh before each further
+    pairwise step, since close components degrade the pairwise
+    approximation; the inputs are fused as given.
     """
     if not inputs:
         raise ValueError("need at least one fusion input")
@@ -405,7 +405,7 @@ def gm_chernoff_multi(
         w_new = w_acc + w
         if w_new == 0.0:
             continue
-        if merge_thresh is not None and acc_is_fused and acc.n_components > 1:
+        if acc_is_fused and acc.n_components > 1:
             acc = gm_merge_prune_cap(acc, merge_thresh, 0.0, acc.n_components)
         acc, log_eta = gm_chernoff_pair(acc, p, w_acc / w_new)
         acc_is_fused = True

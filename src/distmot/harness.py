@@ -85,6 +85,9 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    # imported here, not at module level: the step clock of perfbench patches
+    # distmot.sensors.simulate_measurements, which a name bound at import
+    # time would bypass
     from distmot.sensors import simulate_measurements
 
     truth = generate_truth(scenario)
@@ -135,7 +138,7 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
                 for d in densities:
                     bytes_reference += exchange_bytes_reference(d)
                     bytes_actual += exchange_bytes_actual(d)
-                densities = consensus_run(densities, graph, omega, 1, cfg)
+                densities = consensus_run(densities, graph, omega, cfg)
         except FilterDegeneracyError as e:
             raise FilterDegeneracyError(f"step {k}, algorithm {algorithm}: {e}") from e
 

@@ -38,7 +38,7 @@ def _positions(x) -> np.ndarray:
     return arr
 
 
-def ospa(x, y, cutoff: float, order: float = 2.0) -> OspaResult:
+def ospa(x, y, cutoff: float, order: float) -> OspaResult:
     """OSPA distance between two finite point sets; symmetric in x and y."""
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")

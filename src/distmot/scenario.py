@@ -103,23 +103,30 @@ def _load_birth(doc: dict) -> BirthModel:
     return BirthModel(tuple(entries))
 
 
+_COUNT_FIELDS = ("max_hypotheses", "assignments_per_hypothesis", "gm_max_components")
+_UNIT_FIELDS = ("hyp_prune_thresh", "gm_trunc_thresh", "lmb_prune_thresh")
+
+
 def _load_filter(doc: dict) -> FilterConfig:
-    known = {
-        "max_hypotheses",
-        "hyp_prune_thresh",
-        "assignments_per_hypothesis",
-        "gm_merge_thresh",
-        "gm_trunc_thresh",
-        "gm_max_components",
-        "lmb_prune_thresh",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {*_COUNT_FIELDS, *_UNIT_FIELDS, "gm_merge_thresh"}
     if unknown:
         raise ScenarioError(f"filter: unknown fields {sorted(unknown)}")
-    return FilterConfig(**{k: doc[k] for k in known & set(doc)})
+    for k, v in doc.items():
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if k in _COUNT_FIELDS:
+            ok, want = number and isinstance(v, int) and v >= 1, "an integer >= 1"
+        elif k in _UNIT_FIELDS:
+            ok, want = number and 0.0 <= v <= 1.0, "a number in [0, 1]"
+        else:
+            # a negative threshold leaves every merge cluster empty, so the
+            # merged moments come out NaN
+            ok, want = number and v >= 0.0, "a number >= 0"
+        if not ok:  # NaN fails every comparison
+            raise ScenarioError(f"filter.{k}: {v!r} is not {want}")
+    return FilterConfig(**doc)
 
 
-def scenario_from_dict(doc: dict, name: str = "<dict>") -> Scenario:
+def scenario_from_dict(doc: dict, name: str) -> Scenario:
     if doc.get("schema") != 1:
         raise ScenarioError(f"schema: expected 1, got {doc.get('schema')!r}")
     name = doc.get("name", name)

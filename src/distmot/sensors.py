@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -90,14 +89,9 @@ class SensorModel:
         return float(out[0]) if np.ndim(states) == 1 else out
 
 
-def unscented_update_mixture(
-    gm: GaussianMixture,
-    zs: np.ndarray,
-    h: Callable[[np.ndarray], np.ndarray],
-    noise_var: float,
-    angular: bool = False,
-):
-    """Batched unscented update of every component against every measurement.
+def unscented_update_mixture(gm: GaussianMixture, zs: np.ndarray, sensor: SensorModel):
+    """Batched unscented update of every component against every measurement
+    of one sensor.
 
     Returns (log_lik (n, nz), gain (n, d), resid (n, nz), post_covs (n, d, d),
     valid (n,)). The posterior mean of component i given measurement j is
@@ -130,18 +124,18 @@ def unscented_update_mixture(
     pts[:, 1 : d + 1] = gm.means[:, None, :] + np.swapaxes(scale, 1, 2)
     pts[:, d + 1 :] = gm.means[:, None, :] - np.swapaxes(scale, 1, 2)
 
-    hv = np.asarray(h(pts.reshape(-1, d)), dtype=float).reshape(n, 2 * d + 1)
-    if angular:
+    hv = np.asarray(sensor.h(pts.reshape(-1, d)), dtype=float).reshape(n, 2 * d + 1)
+    if sensor.angular:
         hv = hv[:, :1] + angle_residual(hv, hv[:, :1])
     z_pred = hv @ wm
     dz = hv - z_pred[:, None]
-    s = (dz * dz) @ wc + noise_var
+    s = (dz * dz) @ wc + sensor.noise_std**2
     bad |= s <= 0
     s = np.where(bad, 1.0, s)
 
     cross = np.einsum("k,nkd,nk->nd", wc, pts - gm.means[:, None, :], dz)
     gain = cross / s[:, None]
-    if angular:
+    if sensor.angular:
         resid = angle_residual(zs[None, :], z_pred[:, None])
     else:
         resid = zs[None, :] - z_pred[:, None]

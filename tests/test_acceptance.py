@@ -44,6 +44,7 @@ from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_inte
 from test_assignment import exhaustive_assignments
 
 L1, L2 = Label(0, 1), Label(0, 2)
+CFG = FilterConfig()
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -79,7 +80,7 @@ def test_criterion_1_mdglmb_fusion_closure_oracle():
     worst = 0.0
     for _ in range(3):
         a, b = random_two_label_mdglmb(rng), random_two_label_mdglmb(rng)
-        fused = fuse_mdglmb([(a, omegas[0]), (b, omegas[1])])
+        fused = fuse_mdglmb([(a, omegas[0]), (b, omegas[1])], CFG.gm_merge_thresh)
         ev = geometric_mean_evaluator([(mdglmb_evaluator(a), omegas[0]), (mdglmb_evaluator(b), omegas[1])])
         masses = {ls: subset_integral(ev, ls, grid) for ls in [(), (L1,), (L2,), (L1, L2)]}
         total = sum(masses.values())
@@ -107,7 +108,7 @@ def test_criterion_2_lmb_fusion_closure_oracle():
     for r1, r2, w in [(0.2, 0.8, 0.5), (0.09, 0.09, 0.3), (0.5, 0.7, 0.25), (0.95, 0.1, 0.6)]:
         a = LmbDensity((LmbEntry(L1, r1, pdf),))
         b = LmbDensity((LmbEntry(L1, r2, pdf),))
-        fused = fuse_lmb([(a, w), (b, 1.0 - w)])
+        fused = fuse_lmb([(a, w), (b, 1.0 - w)], CFG.gm_merge_thresh)
         q = (1 - r1) ** w * (1 - r2) ** (1 - w)
         r = r1**w * r2 ** (1 - w)
         worst_exact = max(worst_exact, abs(fused.entry(L1).existence - r / (q + r)))
@@ -115,7 +116,7 @@ def test_criterion_2_lmb_fusion_closure_oracle():
     balanced = fuse_lmb([
         (LmbDensity((LmbEntry(L1, 0.2, pdf),)), 0.5),
         (LmbDensity((LmbEntry(L1, 0.8, pdf),)), 0.5),
-    ])
+    ], CFG.gm_merge_thresh)
     worst_exact = max(worst_exact, abs(balanced.entry(L1).existence - 0.5))
 
     # differing pdfs: eta from independent scalar quadrature
@@ -126,7 +127,9 @@ def test_criterion_2_lmb_fusion_closure_oracle():
         pa, pb = g1(rng.normal(scale=3.0), rng.uniform(0.5, 2.0)), g1(rng.normal(scale=3.0), rng.uniform(0.5, 2.0))
         r1, r2 = rng.uniform(0.05, 0.95, size=2)
         w = rng.uniform(0.2, 0.8)
-        fused = fuse_lmb([(LmbDensity((LmbEntry(L1, r1, pa),)), w), (LmbDensity((LmbEntry(L1, r2, pb),)), 1 - w)])
+        fused = fuse_lmb(
+            [(LmbDensity((LmbEntry(L1, r1, pa),)), w), (LmbDensity((LmbEntry(L1, r2, pb),)), 1 - w)], CFG.gm_merge_thresh
+        )
         eta = np.trapezoid(gm_pdf(pa, grid.reshape(-1, 1)) ** w * gm_pdf(pb, grid.reshape(-1, 1)) ** (1 - w), grid)
         q = (1 - r1) ** w * (1 - r2) ** (1 - w)
         r = eta * r1**w * r2 ** (1 - w)
@@ -160,7 +163,7 @@ def test_criterion_3_ci_equivalence_over_consensus():
 
     worst = 0.0
     for _ in range(5):
-        densities = consensus_run(densities, g, omega, 1)
+        densities = consensus_run(densities, g, omega, CFG)
         infos = [sum(omega.weights[i, j] * infos[j] for j in range(4)) for i in range(4)]
         vecs = [sum(omega.weights[i, j] * vecs[j] for j in range(4)) for i in range(4)]
         for i in range(4):

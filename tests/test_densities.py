@@ -149,7 +149,7 @@ class TestIntensity:
         mass, mix = intensity_mdglmb(d, L1)
         assert mass == pytest.approx(0.6, abs=1e-12)
         assert np.allclose(mix.means, pdf.means)
-        assert mix.is_normalized()
+        assert mix.is_normalized(atol=1e-9)
 
     def test_three_hypothesis_hand_sum(self):
         pa, pb = g1(0.0), g1(5.0)

@@ -83,7 +83,7 @@ def motion_1d(ps=0.99):
 
 class TestNcvModel:
     def test_matrices_match_definition(self):
-        m = ncv_motion_model(5.0, 5.0)
+        m = ncv_motion_model(5.0, 5.0, 0.99)
         t = 5.0
         assert np.allclose(m.transition, [[1, t, 0, 0], [0, 1, 0, 0], [0, 0, 1, t], [0, 0, 0, 1]])
         q1 = 25.0 * np.array([[t**4 / 4, t**3 / 2], [t**3 / 2, t**2]])
@@ -181,8 +181,7 @@ def eager_psi_row(table, pdf):
     with np.errstate(divide="ignore"):
         log_psi[0] = _lse(alpha + np.log1p(-pd_vals))
     if m:
-        sensor = table.sensor
-        ll, gain, resid, covs, _ = unscented_update_mixture(pdf, table.Z, sensor.h, sensor.noise_std**2, sensor.angular)
+        ll, gain, resid, covs, _ = unscented_update_mixture(pdf, table.Z, table.sensor)
         mus = pdf.means[:, None, :] + gain[:, None, :] * resid[:, :, None]
         with np.errstate(divide="ignore"):
             log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll
@@ -576,7 +575,7 @@ class TestCentralized:
     def test_single_sensor_equals_predict_update(self):
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=1.0, detection_prob=0.9, space=(-50.0, 50.0))
         birth = BirthModel((BirthEntry(1, 0.09, g4(0.0, 0.0)),))
-        motion = ncv_motion_model(1.0, 1.0)
+        motion = ncv_motion_model(1.0, 1.0, 0.99)
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.5]
@@ -592,7 +591,7 @@ class TestCentralized:
     def test_two_identical_sensors_sharpen_posterior(self):
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=0.5, detection_prob=0.99, space=(-50.0, 50.0))
         birth = BirthModel((BirthEntry(1, 0.2, g4(0.0, 0.0, pos_var=25.0)),))
-        motion = ncv_motion_model(1.0, 0.5)
+        motion = ncv_motion_model(1.0, 0.5, 0.99)
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.3]
@@ -609,7 +608,7 @@ class TestCentralized:
         s1 = linear_px_sensor(noise_std=1.0, clutter_rate=1.0, detection_prob=0.9, space=(-50.0, 50.0))
         s2 = linear_px_sensor(noise_std=2.0, clutter_rate=2.0, detection_prob=0.8, space=(-50.0, 50.0))
         birth = BirthModel((BirthEntry(1, 0.2, g4(0.0, 0.0, pos_var=25.0)),))
-        motion = ncv_motion_model(1.0, 0.5)
+        motion = ncv_motion_model(1.0, 0.5, 0.99)
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         a = centralized_mdglmb_step(prior, motion, birth, 0, [(s1, [0.4]), (s2, [0.6])], cfg, UpdateDiagnostics())

@@ -9,7 +9,8 @@ from distmot.densities import (
     MdGlmbDensity,
     MdGlmbHypothesis,
 )
-from distmot.fusion import FusionDegenerateWarning, fuse_lmb, fuse_mdglmb, consensus_run
+from distmot.filters import FilterConfig, reduce_lmb_pdfs, reduce_mdglmb_pdfs
+from distmot.fusion import FusionDegenerateWarning, consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.network import NetworkGraph, metropolis_weights
@@ -17,6 +18,7 @@ from reference import gm_covariance, gm_mean
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 
 L1, L2 = Label(0, 1), Label(0, 2)
+CFG = FilterConfig()
 
 
 def g1(mean, var=1.0):
@@ -51,7 +53,7 @@ class TestFuseMdglmb:
     def test_identical_inputs_fixed_point(self):
         rng = np.random.default_rng(1)
         d = two_label_scalar_density(rng)
-        fused = fuse_mdglmb([(d, 0.7), (d, 0.3)])
+        fused = fuse_mdglmb([(d, 0.7), (d, 0.3)], CFG.gm_merge_thresh)
         for h, g in zip(fused.hypotheses, d.hypotheses):
             assert h.label_set == g.label_set
             assert h.log_weight == pytest.approx(g.log_weight, abs=1e-9)
@@ -62,7 +64,7 @@ class TestFuseMdglmb:
     def test_weight_one_zero_returns_first(self):
         rng = np.random.default_rng(2)
         a, b = two_label_scalar_density(rng), two_label_scalar_density(rng)
-        fused = fuse_mdglmb([(a, 1.0), (b, 0.0)])
+        fused = fuse_mdglmb([(a, 1.0), (b, 0.0)], CFG.gm_merge_thresh)
         assert fused is a
 
     def test_intersection_only_common_hypotheses(self):
@@ -74,14 +76,14 @@ class TestFuseMdglmb:
             MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
             MdGlmbHypothesis(LabelSet((L2,)), math.log(0.5), (g1(1.0),)),
         ])
-        fused = fuse_mdglmb([(a, 0.5), (b, 0.5)])
+        fused = fuse_mdglmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
         assert [h.label_set for h in fused.hypotheses] == [EMPTY_LABEL_SET]
 
     def test_empty_intersection_falls_back_with_warning(self):
         a = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (g1(0.0),)),))
         b = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L2,)), 0.0, (g1(1.0),)),))
         with pytest.warns(FusionDegenerateWarning):
-            fused = fuse_mdglmb([(a, 0.5), (b, 0.5)])
+            fused = fuse_mdglmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
         assert [h.label_set for h in fused.hypotheses] == [EMPTY_LABEL_SET]
 
     def test_matches_set_integral_oracle(self):
@@ -89,7 +91,7 @@ class TestFuseMdglmb:
         rng = np.random.default_rng(7)
         a, b = two_label_scalar_density(rng), two_label_scalar_density(rng)
         omegas = (0.6, 0.4)
-        fused = fuse_mdglmb([(a, omegas[0]), (b, omegas[1])])
+        fused = fuse_mdglmb([(a, omegas[0]), (b, omegas[1])], CFG.gm_merge_thresh)
 
         grid = np.linspace(-30.0, 30.0, 1201)
         ev = geometric_mean_evaluator([(mdglmb_evaluator(a), omegas[0]), (mdglmb_evaluator(b), omegas[1])])
@@ -111,7 +113,7 @@ class TestFuseMdglmb:
 class TestFuseLmb:
     def test_identical_single_entry_fixed_point(self):
         d = LmbDensity((LmbEntry(L1, 0.09, g1(0.0)),))
-        fused = fuse_lmb([(d, 0.5), (d, 0.5)])
+        fused = fuse_lmb([(d, 0.5), (d, 0.5)], CFG.gm_merge_thresh)
         assert fused.entry(L1).existence == pytest.approx(0.09, abs=1e-12)
 
     def test_two_inputs_balanced_existence(self):
@@ -119,18 +121,18 @@ class TestFuseLmb:
         pdf = g1(1.0)
         a = LmbDensity((LmbEntry(L1, 0.2, pdf),))
         b = LmbDensity((LmbEntry(L1, 0.8, pdf),))
-        fused = fuse_lmb([(a, 0.5), (b, 0.5)])
+        fused = fuse_lmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
         assert fused.entry(L1).existence == pytest.approx(0.5, abs=1e-10)
 
     def test_weight_one_zero(self):
         a = LmbDensity((LmbEntry(L1, 0.3, g1(0.0)),))
         b = LmbDensity((LmbEntry(L1, 0.9, g1(5.0)),))
-        assert fuse_lmb([(a, 1.0), (b, 0.0)]) is a
+        assert fuse_lmb([(a, 1.0), (b, 0.0)], CFG.gm_merge_thresh) is a
 
     def test_label_missing_from_one_input_dies(self):
         a = LmbDensity((LmbEntry(L1, 0.5, g1(0.0)), LmbEntry(L2, 0.5, g1(1.0))))
         b = LmbDensity((LmbEntry(L1, 0.5, g1(0.2)),))
-        fused = fuse_lmb([(a, 0.5), (b, 0.5)])
+        fused = fuse_lmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
         assert fused.labels == (L1,)
 
     def test_existences_in_unit_interval(self):
@@ -139,29 +141,35 @@ class TestFuseLmb:
             a = LmbDensity((LmbEntry(L1, rng.uniform(), g1(rng.normal())),))
             b = LmbDensity((LmbEntry(L1, rng.uniform(), g1(rng.normal())),))
             w = rng.uniform(0.1, 0.9)
-            fused = fuse_lmb([(a, w), (b, 1.0 - w)])
+            fused = fuse_lmb([(a, w), (b, 1.0 - w)], CFG.gm_merge_thresh)
             if fused.entries:
                 assert 0.0 <= fused.entry(L1).existence <= 1.0
+
+
+def scalar_mixture(rng, n):
+    return GaussianMixture(
+        np.log(rng.dirichlet(np.ones(n))),
+        rng.normal(scale=3.0, size=(n, 1)),
+        rng.uniform(0.5, 2.0, size=(n, 1, 1)),
+    )
+
+
+def consensus_rounds(densities, g, omega, n_rounds):
+    for _ in range(n_rounds):
+        densities = consensus_run(densities, g, omega, CFG)
+    return densities
 
 
 class TestConsensusRun:
     def graph4(self):
         return NetworkGraph.from_undirected_edges((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3), (3, 0)])
 
-    def test_zero_rounds_identity(self):
-        rng = np.random.default_rng(5)
-        g = self.graph4()
-        omega = metropolis_weights(g)
-        ds = [two_label_scalar_density(rng) for _ in range(4)]
-        out = consensus_run(ds, g, omega, 0)
-        assert all(o is d for o, d in zip(out, ds))
-
     def test_identical_densities_fixed_point(self):
         rng = np.random.default_rng(6)
         g = self.graph4()
         omega = metropolis_weights(g)
         d = two_label_scalar_density(rng)
-        out = consensus_run([d] * 4, g, omega, 3)
+        out = consensus_rounds([d] * 4, g, omega, 3)
         for o in out:
             for h, e in zip(o.hypotheses, d.hypotheses):
                 assert h.label_set == e.label_set
@@ -178,7 +186,7 @@ class TestConsensusRun:
         infos = [np.linalg.inv(ga.cov) for ga in gaussians]
         vecs = [info @ ga.mean for info, ga in zip(infos, gaussians)]
         for n in range(1, 6):
-            densities = consensus_run(densities, g, omega, 1)
+            densities = consensus_run(densities, g, omega, CFG)
             new_infos = [sum(omega.weights[i, j] * infos[j] for j in range(4)) for i in range(4)]
             new_vecs = [sum(omega.weights[i, j] * vecs[j] for j in range(4)) for i in range(4)]
             infos, vecs = new_infos, new_vecs
@@ -194,11 +202,54 @@ class TestConsensusRun:
         omega = metropolis_weights(g)
         a = LmbDensity((LmbEntry(L1, 0.2, g1(0.0, 1.0)),))
         b = LmbDensity((LmbEntry(L1, 0.8, g1(4.0, 2.0)),))
-        target = fuse_lmb([(a, 0.5), (b, 0.5)])
-        out = consensus_run([a, b], g, omega, 30)
+        target = fuse_lmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
+        out = consensus_rounds([a, b], g, omega, 30)
         for node in out:
             assert node.entry(L1).existence == pytest.approx(target.entry(L1).existence, abs=1e-6)
             assert gm_mean(node.entry(L1).pdf)[0] == pytest.approx(gm_mean(target.entry(L1).pdf)[0], abs=1e-6)
             assert gm_covariance(node.entry(L1).pdf)[0, 0] == pytest.approx(
                 gm_covariance(target.entry(L1).pdf)[0, 0], abs=1e-6
             )
+
+    @pytest.mark.parametrize("kind", ["mdglmb", "lmb"])
+    def test_round_fuses_then_reduces_each_node(self, kind):
+        # a path graph: the middle node folds three inputs, so its fold
+        # accumulator is merged, and the ends fuse two with other weights
+        rng = np.random.default_rng(12)
+        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1), (1, 2)])
+        omega = metropolis_weights(g)
+        cfg = FilterConfig(gm_max_components=4)
+        if kind == "mdglmb":
+            fuse, reduce = fuse_mdglmb, reduce_mdglmb_pdfs
+            densities = [
+                MdGlmbDensity.from_unnormalized([
+                    MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
+                    MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (scalar_mixture(rng, 3),)),
+                    MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (scalar_mixture(rng, 2), scalar_mixture(rng, 3))),
+                ])
+                for _ in g.nodes
+            ]
+        else:
+            fuse, reduce = fuse_lmb, reduce_lmb_pdfs
+            densities = [
+                LmbDensity((LmbEntry(L1, 0.6, scalar_mixture(rng, 3)), LmbEntry(L2, 0.4, scalar_mixture(rng, 2))))
+                for _ in g.nodes
+            ]
+
+        out = consensus_run(densities, g, omega, cfg)
+
+        def pdfs(d):
+            return [p for h in d.hypotheses for p in h.pdfs] if kind == "mdglmb" else [e.pdf for e in d.entries]
+
+        for node, got in zip(g.nodes, out):
+            pairs = [(densities[j], omega.weight(node, j)) for j in g.in_neighbours(node)]
+            want = reduce(fuse(pairs, cfg.gm_merge_thresh), cfg)
+            assert len(pdfs(got)) == len(pdfs(want)) > 0
+            for p, q in zip(pdfs(got), pdfs(want)):
+                assert p.n_components <= cfg.gm_max_components
+                for x, y in ((p.log_w, q.log_w), (p.means, q.means), (p.covs, q.covs)):
+                    assert x.tobytes() == y.tobytes()
+            if kind == "mdglmb":
+                assert [h.log_weight for h in got.hypotheses] == [h.log_weight for h in want.hypotheses]
+            else:
+                assert [e.existence for e in got.entries] == [e.existence for e in want.entries]

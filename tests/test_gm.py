@@ -248,16 +248,19 @@ class TestGmChernoffPair:
 
 
 class TestGmChernoffMulti:
+    # fold math: at merge_thresh 0.0 a pivot claims only exact duplicates, so
+    # the accumulator keeps every distinct component (at the production 4.0
+    # the merge, and so the fused mixture, depends on the input order)
     def test_single_input_identity(self):
         rng = np.random.default_rng(4)
         p = random_mixture(rng, 2, 3)
-        fused, log_norm = gm_chernoff_multi([(p, 1.0)])
+        fused, log_norm = gm_chernoff_multi([(p, 1.0)], merge_thresh=0.0)
         assert fused is p and log_norm == 0.0
 
     def test_three_identical_single_gaussians(self):
         g = Gaussian([0.5, -1.0], [[1.0, 0.1], [0.1, 2.0]])
         p = GaussianMixture.single(g)
-        fused, log_norm = gm_chernoff_multi([(p, 1 / 3), (p, 1 / 3), (p, 1 / 3)])
+        fused, log_norm = gm_chernoff_multi([(p, 1 / 3), (p, 1 / 3), (p, 1 / 3)], merge_thresh=0.0)
         assert np.allclose(fused.means[0], g.mean, atol=1e-9)
         assert np.allclose(fused.covs[0], g.cov, atol=1e-9)
         assert log_norm == pytest.approx(0.0, abs=1e-9)
@@ -266,9 +269,9 @@ class TestGmChernoffMulti:
         rng = np.random.default_rng(9)
         gs = [GaussianMixture.single(random_gaussian(rng, 4)) for _ in range(3)]
         w = [0.5, 0.3, 0.2]
-        f1, n1 = gm_chernoff_multi(list(zip(gs, w)))
+        f1, n1 = gm_chernoff_multi(list(zip(gs, w)), merge_thresh=0.0)
         order = [2, 0, 1]
-        f2, n2 = gm_chernoff_multi([(gs[i], w[i]) for i in order])
+        f2, n2 = gm_chernoff_multi([(gs[i], w[i]) for i in order], merge_thresh=0.0)
         assert np.allclose(f1.means, f2.means, atol=1e-8)
         assert np.allclose(f1.covs, f2.covs, atol=1e-8)
         assert n1 == pytest.approx(n2, abs=1e-8)
@@ -278,7 +281,7 @@ class TestGmChernoffMulti:
         rng = np.random.default_rng(31)
         gs = [random_gaussian(rng, 4) for _ in range(4)]
         w = rng.dirichlet(np.ones(4))
-        fused, _ = gm_chernoff_multi([(GaussianMixture.single(g), wi) for g, wi in zip(gs, w)])
+        fused, _ = gm_chernoff_multi([(GaussianMixture.single(g), wi) for g, wi in zip(gs, w)], merge_thresh=0.0)
         info = sum(wi * info_pair(g)[0] for g, wi in zip(gs, w))
         vec = sum(wi * info_pair(g)[1] for g, wi in zip(gs, w))
         cov = np.linalg.inv(info)
@@ -289,8 +292,8 @@ class TestGmChernoffMulti:
         rng = np.random.default_rng(13)
         ms = [random_mixture(rng, 1, 2) for _ in range(3)]
         w = [0.4, 0.35, 0.25]
-        f1, _ = gm_chernoff_multi(list(zip(ms, w)))
-        f2, _ = gm_chernoff_multi([(ms[i], w[i]) for i in (1, 2, 0)])
+        f1, _ = gm_chernoff_multi(list(zip(ms, w)), merge_thresh=0.0)
+        f2, _ = gm_chernoff_multi([(ms[i], w[i]) for i in (1, 2, 0)], merge_thresh=0.0)
         # pairwise approximation: orderings agree on moments, not components
         assert np.allclose(gm_mean(f1), gm_mean(f2), atol=1e-6)
         assert np.allclose(gm_covariance(f1), gm_covariance(f2), atol=1e-5)

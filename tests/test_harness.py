@@ -47,7 +47,7 @@ def tiny_doc(**kw):
 
 
 def tiny_scenario(**kw):
-    return scenario_from_dict(tiny_doc(**kw))
+    return scenario_from_dict(tiny_doc(**kw), "test")
 
 
 class TestRunTrial:

@@ -25,12 +25,12 @@ def brute_force_ospa(x, y, c, p):
 
 
 def test_empty_sets():
-    r = ospa(np.zeros((0, 2)), np.zeros((0, 2)), 600.0)
+    r = ospa(np.zeros((0, 2)), np.zeros((0, 2)), 600.0, 2.0)
     assert r.total == 0.0 and r.localization == 0.0 and r.cardinality == 0.0
 
 
 def test_one_empty_pure_cardinality():
-    r = ospa(np.array([[0.0, 0.0]]), np.zeros((0, 2)), 600.0)
+    r = ospa(np.array([[0.0, 0.0]]), np.zeros((0, 2)), 600.0, 2.0)
     assert r.total == 600.0
     assert r.cardinality == 600.0
     assert r.localization == 0.0
@@ -46,7 +46,7 @@ def test_two_singletons_100m_apart():
 def test_extracts_positions_from_four_state():
     x = np.array([[3.0, 99.0, 4.0, -99.0]])
     y = np.array([[0.0, 0.0]])
-    assert ospa(x, y, 600.0).total == pytest.approx(5.0)
+    assert ospa(x, y, 600.0, 2.0).total == pytest.approx(5.0)
 
 
 def test_decomposition_identity():
@@ -76,21 +76,21 @@ def test_symmetry(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1500, size=(int(rng.integers(0, 4)), 2))
     y = rng.uniform(0, 1500, size=(int(rng.integers(0, 4)), 2))
-    assert ospa(x, y, 600.0).total == ospa(y, x, 600.0).total
+    assert ospa(x, y, 600.0, 2.0).total == ospa(y, x, 600.0, 2.0).total
 
 
 def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         sets = [rng.uniform(0, 2000, size=(int(rng.integers(0, 4)), 2)) for _ in range(3)]
-        dxy = ospa(sets[0], sets[1], 600.0).total
-        dyz = ospa(sets[1], sets[2], 600.0).total
-        dxz = ospa(sets[0], sets[2], 600.0).total
+        dxy = ospa(sets[0], sets[1], 600.0, 2.0).total
+        dyz = ospa(sets[1], sets[2], 600.0, 2.0).total
+        dxz = ospa(sets[0], sets[2], 600.0, 2.0).total
         assert dxz <= dxy + dyz + 1e-9
 
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        ospa(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+        ospa(np.zeros((1, 2)), np.zeros((1, 2)), 0.0, 2.0)
     with pytest.raises(ValueError):
         ospa(np.zeros((1, 2)), np.zeros((1, 2)), 600.0, 0.5)

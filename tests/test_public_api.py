@@ -9,7 +9,9 @@ API that only the tests call belongs in the tests.
 
 Likewise every defaulted parameter of a public function or method must be
 passed, by keyword or by position, by some call in those directories that
-names the function; an option only tests set belongs in the tests.
+names the function; an option only tests set belongs in the tests. And it
+must be left out by some such call: a default that every caller overrides
+only serves the tests, and the parameter should be required.
 """
 
 import ast
@@ -80,8 +82,13 @@ def test_allowlist_names_exist():
 # each default stays.
 ALLOWED_DEFAULTS = {
     "main(argv)": "console entry point: argparse reads sys.argv; tests pass argv to drive the CLI",
-    "fuse_mdglmb(merge_thresh)": "passed by consensus_run through its `fuse` alias, which a name match cannot see",
-    "fuse_lmb(merge_thresh)": "passed by consensus_run through its `fuse` alias, which a name match cannot see",
+}
+
+# Defaulted parameters that every call in the repository passes, with the
+# reason each default stays.
+ALWAYS_PASSED = {
+    "with_overrides(trials)": "None keeps the scenario's value; the CLI forwards it from an unset --trials",
+    "run_experiment(workers)": "None reads DISTMOT_WORKERS; the CLI forwards it from an unset --workers",
 }
 
 
@@ -149,6 +156,20 @@ def test_every_default_is_passed_somewhere():
     assert not unpassed, "defaulted parameters that no call outside the tests passes:\n" + "\n".join(unpassed)
 
 
+def test_every_default_is_left_out_somewhere():
+    by_name = calls()
+    overridden = []
+    for path, node, param, index in defaulted_parameters():
+        key = f"{node.name}({param})"
+        if key in ALWAYS_PASSED:
+            continue
+        callers = by_name.get(node.name, [])
+        if callers and all(passes(c, param, index) for c in callers):
+            overridden.append(f"{path.relative_to(ROOT)}:{node.lineno} {key}")
+    assert not overridden, "defaulted parameters that every call outside the tests passes:\n" + "\n".join(overridden)
+
+
 def test_default_allowlist_entries_exist():
     keys = {f"{node.name}({param})" for _, node, param, _ in defaulted_parameters()}
     assert set(ALLOWED_DEFAULTS) <= keys
+    assert set(ALWAYS_PASSED) <= keys

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_bundled_regimes():
 
 
 def test_empty_trajectories_valid():
-    s = scenario_from_dict(copy.deepcopy(MINIMAL))
+    s = scenario_from_dict(copy.deepcopy(MINIMAL), "test")
     assert s.trajectories == ()
     truth = generate_truth(s)
     assert all(t == [] for t in truth)
@@ -56,21 +57,21 @@ def test_death_before_birth_rejected():
     doc = copy.deepcopy(MINIMAL)
     doc["trajectories"] = [{"birth": 10, "death": 5, "state": [2000.0, 10.0, 2000.0, 0.0]}]
     with pytest.raises(ScenarioError, match="death"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 def test_leaving_area_rejected():
     doc = copy.deepcopy(MINIMAL)
     doc["trajectories"] = [{"birth": 0, "death": 20, "state": [2000.0, 500.0, 2000.0, 0.0]}]
     with pytest.raises(ScenarioError, match="leaves the area"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 def test_unknown_sensor_kind_rejected():
     doc = copy.deepcopy(MINIMAL)
     doc["sensors"][0]["kind"] = "radar"
     with pytest.raises(ScenarioError, match="radar"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 def test_disconnected_graph_rejected():
@@ -78,14 +79,14 @@ def test_disconnected_graph_rejected():
     doc["sensors"] = doc["sensors"] * 2
     doc["graph"] = {"edges": []}
     with pytest.raises(ScenarioError, match="connected"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 def test_bad_schema_rejected():
     doc = copy.deepcopy(MINIMAL)
     doc["schema"] = 2
     with pytest.raises(ScenarioError, match="schema"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 def test_missing_scenario_name():
@@ -96,7 +97,7 @@ def test_missing_scenario_name():
 def test_constant_velocity_truth():
     doc = copy.deepcopy(MINIMAL)
     doc["trajectories"] = [{"birth": 0, "death": 20, "state": [1000.0, 10.0, 2000.0, -5.0]}]
-    s = scenario_from_dict(doc)
+    s = scenario_from_dict(doc, "test")
     truth = generate_truth(s)
     for k in range(20):
         (lab, state), = truth[k]
@@ -109,7 +110,7 @@ def test_death_removes_object():
     doc = copy.deepcopy(MINIMAL)
     doc["steps"] = 200
     doc["trajectories"] = [{"birth": 0, "death": 100, "state": [5000.0, 1.0, 5000.0, 0.0]}]
-    s = scenario_from_dict(doc)
+    s = scenario_from_dict(doc, "test")
     truth = generate_truth(s)
     assert all(len(truth[k]) == 1 for k in range(100))
     assert all(len(truth[k]) == 0 for k in range(100, 200))
@@ -121,7 +122,7 @@ def test_velocity_changes_apply():
         "birth": 0, "death": 20, "state": [1000.0, 10.0, 5000.0, 0.0],
         "velocity_changes": [[10, -10.0, 0.0]],
     }]
-    s = scenario_from_dict(doc)
+    s = scenario_from_dict(doc, "test")
     truth = generate_truth(s)
     x10 = truth[10][0][1][0]
     assert x10 == pytest.approx(1000.0 + 10 * 50.0)
@@ -145,7 +146,7 @@ def test_labels_distinct_within_birth_step():
         {"birth": 3, "death": 20, "state": [2000.0, 10.0, 2000.0, 0.0]},
         {"birth": 3, "death": 20, "state": [8000.0, -10.0, 8000.0, 0.0]},
     ]
-    s = scenario_from_dict(doc)
+    s = scenario_from_dict(doc, "test")
     truth = generate_truth(s)
     labs = [lab.as_pair() for lab, _ in truth[3]]
     assert labs == [(3, 1), (3, 2)]
@@ -165,12 +166,12 @@ def test_detection_prob_outside_unit_interval_rejected(pd):
     doc = copy.deepcopy(MINIMAL)
     doc["sensors"][0]["detection_prob"] = pd
     with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob .* outside \[0, 1\]"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
     # the regime-wide value is checked the same way
     del doc["sensors"][0]["detection_prob"]
     doc["detection_prob"] = pd
     with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
 
 
 @pytest.mark.parametrize("ps", [1.7, -0.1])
@@ -178,15 +179,35 @@ def test_survival_prob_outside_unit_interval_rejected(ps):
     doc = copy.deepcopy(MINIMAL)
     doc["survival_prob"] = ps
     with pytest.raises(ScenarioError, match=r"survival_prob: .* outside \[0, 1\]"):
-        scenario_from_dict(doc)
+        scenario_from_dict(doc, "test")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gm_merge_thresh", -1.0),
+    ("gm_merge_thresh", float("nan")),
+    ("gm_merge_thresh", "4.0"),
+    ("gm_trunc_thresh", 1.5),
+    ("hyp_prune_thresh", -1e-3),
+    ("lmb_prune_thresh", float("nan")),
+    ("max_hypotheses", 0),
+    ("assignments_per_hypothesis", 2.5),
+    ("gm_max_components", True),
+])
+def test_filter_value_out_of_range_rejected(field, value):
+    doc = copy.deepcopy(MINIMAL)
+    doc["filter"] = {field: value}
+    with pytest.raises(ScenarioError, match=rf"filter\.{field}: {re.escape(repr(value))} is not"):
+        scenario_from_dict(doc, "test")
 
 
 def test_unit_interval_ends_accepted():
     doc = copy.deepcopy(MINIMAL)
     doc["sensors"][0]["detection_prob"] = 0.0
     doc["survival_prob"] = 1.0
-    s = scenario_from_dict(doc)
+    doc["filter"] = {"gm_merge_thresh": 0, "gm_trunc_thresh": 1.0, "hyp_prune_thresh": 0.0, "max_hypotheses": 1}
+    s = scenario_from_dict(doc, "test")
     assert s.sensors[0].detection_prob == 0.0 and s.survival_prob == 1.0
+    assert (s.filter.gm_merge_thresh, s.filter.gm_trunc_thresh, s.filter.max_hypotheses) == (0, 1.0, 1)
 
 
 def test_yaml_syntax_error_reported(tmp_path):

@@ -145,7 +145,7 @@ class TestUnscentedUpdate:
         gm = gm_from_components(comps)
         sensor = make_doa((0.0, 0.0), noise_std=math.radians(1.0))
         zs = np.array([0.5, 0.6])
-        ll, gain, resid, covs, ok = unscented_update_mixture(gm, zs, sensor.h, sensor.noise_std**2, True)
+        ll, gain, resid, covs, ok = unscented_update_mixture(gm, zs, sensor)
         assert ok.all()
         assert gain.shape == (3, 4) and resid.shape == (3, 2)
         for i, (_, g) in enumerate(gm_components(gm)):
