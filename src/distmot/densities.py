@@ -5,6 +5,9 @@ sets I with weights summing to 1; an LMB is {(r(l), p(.,l))} with independent
 per-label existence probabilities. Hypothesis weights are kept as
 log-weights and normalized with log-sum-exp.
 
+A label is the tuple (birth step k, index i among step k's births) and a
+label set a tuple of labels, so labels compare and hash as tuples do.
+
 The records adopt their fields as given; each container only sorts its
 members into canonical label order. `check_density` holds every invariant
 and runs where a density enters from outside (`wire.density_from_dict`).
@@ -19,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gm import GaussianMixture, logsumexp
-from .labels import EMPTY_LABEL_SET, Label, LabelSet
+
+# A label set is sorted and duplicate-free, so tuple equality is set equality.
+Label = tuple[int, int]
+LabelSet = tuple[Label, ...]
 
 NORMALIZATION_ATOL = 1e-9
 PDF_ATOL = 1e-6
@@ -70,7 +76,7 @@ class MdGlmbHypothesis:
     pdfs: tuple[GaussianMixture, ...]
 
     def pdf(self, label: Label) -> GaussianMixture:
-        return self.pdfs[self.label_set.labels.index(label)]
+        return self.pdfs[self.label_set.index(label)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +87,7 @@ class MdGlmbDensity:
     hypotheses: tuple[MdGlmbHypothesis, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(sorted(self.hypotheses, key=lambda h: h.label_set.labels)))
+        object.__setattr__(self, "hypotheses", tuple(sorted(self.hypotheses, key=lambda h: h.label_set)))
 
     @classmethod
     def from_unnormalized(cls, hyps: list[MdGlmbHypothesis]) -> "MdGlmbDensity":
@@ -93,7 +99,7 @@ class MdGlmbDensity:
 
     @classmethod
     def empty(cls) -> "MdGlmbDensity":
-        return cls((MdGlmbHypothesis(EMPTY_LABEL_SET, 0.0, ()),))
+        return cls((MdGlmbHypothesis((), 0.0, ()),))
 
     def hypothesis(self, label_set: LabelSet) -> MdGlmbHypothesis | None:
         try:
@@ -107,7 +113,7 @@ class MdGlmbDensity:
         out: set[Label] = set()
         for h in self.hypotheses:
             out.update(h.label_set)
-        return LabelSet(tuple(sorted(out)))
+        return tuple(sorted(out))
 
     def __len__(self):
         return len(self.hypotheses)
@@ -134,16 +140,16 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
             raise ValueError("density needs at least one hypothesis (the empty set is allowed)")
         previous = None
         for h in d.hypotheses:
-            labels = h.label_set.labels
-            _check_increasing(labels, h.label_set)
+            labels = h.label_set
+            _check_increasing(labels, labels)
             if previous is not None and not previous < labels:
-                raise ValueError(f"hypothesis {h.label_set} is duplicated or out of order")
+                raise ValueError(f"hypothesis {labels} is duplicated or out of order")
             previous = labels
             if len(h.pdfs) != len(labels):
-                raise ValueError(f"hypothesis {h.label_set} carries {len(h.pdfs)} pdfs for {len(labels)} labels")
+                raise ValueError(f"hypothesis {labels} carries {len(h.pdfs)} pdfs for {len(labels)} labels")
             for lab, pdf in zip(labels, h.pdfs):
                 if not pdf.is_normalized(atol=PDF_ATOL):
-                    raise ValueError(f"pdf for {lab} in hypothesis {h.label_set} is not normalized")
+                    raise ValueError(f"pdf for {lab} in hypothesis {labels} is not normalized")
         total = logsumexp([h.log_weight for h in d.hypotheses])
         if not abs(total) <= NORMALIZATION_ATOL:  # NaN fails too
             raise ValueError(f"hypothesis weights not normalized (log total {total:.3e})")
@@ -255,7 +261,7 @@ def lmb_to_mdglmb(d: LmbDensity, max_hypotheses: int) -> MdGlmbDensity:
     subsets = k_best_bernoulli_subsets(probs, max_hypotheses)
     hyps = []
     for idx, log_w in subsets:
-        labels = LabelSet(tuple(d.entries[i].label for i in idx))
+        labels = tuple(d.entries[i].label for i in idx)
         pdfs = tuple(d.entries[i].pdf for i in idx)
         hyps.append(MdGlmbHypothesis(labels, log_w, pdfs))
     return MdGlmbDensity.from_unnormalized(hyps)

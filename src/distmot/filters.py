@@ -22,7 +22,11 @@ hypothesis's maps.
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
 hypothesis that can shrink onto it, weighted by the motion model's constant
-survival probability P_S.
+survival probability P_S. Survivor and birth subsets are paired best first,
+and a pair is built into a hypothesis only while it can still make the
+max_hypotheses cut; a survivor subset's mixtures are built when its first
+pair is. Labels are (birth step, index) tuples, so a predicted label set is
+the survivor subset followed by the birth subset.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import numpy as np
 
 from .assignment import ranked_assignments
 from .densities import (
+    Label,
+    LabelSet,
     LmbDensity,
     LmbEntry,
     MdGlmbDensity,
@@ -46,7 +52,6 @@ from .densities import (
     lmb_to_mdglmb,
 )
 from .gm import GaussianMixture, gm_key, gm_merge_prune_cap, logsumexp, symmetrize
-from .labels import Label, LabelSet
 from .sensors import SensorModel, unscented_update_mixture
 
 
@@ -122,7 +127,7 @@ class BirthModel:
         return cls(())
 
     def labels_at(self, k: int) -> list[Label]:
-        return [Label(k, e.index) for e in self.entries]
+        return [(k, e.index) for e in self.entries]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,19 +182,20 @@ def _mix_contributions(contribs: list[tuple[float, GaussianMixture]]) -> Gaussia
     return GaussianMixture._raw(lw, mu, cv)
 
 
-def _k_best_products(a: list[float], b: list[float], k: int) -> list[tuple[int, int]]:
-    """Index pairs of the k largest a[i] + b[j]; both lists sorted descending."""
+def _k_best_products(a: list[float], b: list[float], k: int):
+    """Yield the index pairs of the k largest a[i] + b[j], largest first;
+    both lists sorted descending, so the sums come in non-increasing order."""
     heap = [(-(a[0] + b[0]), 0, 0)]
     seen = {(0, 0)}
-    out: list[tuple[int, int]] = []
-    while heap and len(out) < k:
+    for _ in range(k):
+        if not heap:
+            return
         _, i, j = heapq.heappop(heap)
-        out.append((i, j))
+        yield i, j
         for ni, nj in ((i + 1, j), (i, j + 1)):
             if ni < len(a) and nj < len(b) and (ni, nj) not in seen:
                 seen.add((ni, nj))
                 heapq.heappush(heap, (-(a[ni] + b[nj]), ni, nj))
-    return out
 
 
 def mdglmb_predict(
@@ -205,8 +211,10 @@ def mdglmb_predict(
     survivor weights sum the Bernoulli survival products over every prior
     hypothesis containing the subset, and survivor pdfs mix the matching
     Kalman-predicted pdfs. Survivor and birth subsets are each capped at
-    max(4 max_hypotheses, 64) and their 4 max_hypotheses best unions
-    formed; the output is truncated to max_hypotheses and renormalized.
+    max(4 max_hypotheses, 64). Unions are drawn best first, at most
+    4 max_hypotheses of them, and only until max_hypotheses are held and
+    the next one is lighter than all of them; the output is truncated to
+    max_hypotheses and renormalized.
     """
     birth_labels = birth.labels_at(k)
     posterior_labels = posterior.label_space()
@@ -218,9 +226,10 @@ def mdglmb_predict(
 
     # survivor part: accumulate weights and pdf contributions per label subset
     surv_w: dict[LabelSet, list[float]] = {}
-    surv_pdfs: dict[LabelSet, dict[Label, list[tuple[float, GaussianMixture]]]] = {}
+    # per subset, one contribution list per label, in label order
+    surv_pdfs: dict[LabelSet, list[list[tuple[float, GaussianMixture]]]] = {}
     for h in posterior.hypotheses:
-        labels = h.label_set.labels
+        labels = h.label_set
         ps_bar = np.zeros(len(labels))
         predicted: list[GaussianMixture | None] = [None] * len(labels)
         for i, pdf in enumerate(h.pdfs):
@@ -229,48 +238,43 @@ def mdglmb_predict(
             if pb > 0.0:
                 predicted[i] = _surviving_pdf(pdf, s, pb, motion)
         for idx, rel_logw in k_best_bernoulli_subsets(ps_bar, subset_cap):
-            key = LabelSet(tuple(labels[i] for i in idx))
+            key = tuple(labels[i] for i in idx)
             logw = h.log_weight + rel_logw
             surv_w.setdefault(key, []).append(logw)
-            per_label = surv_pdfs.setdefault(key, {})
-            for i in idx:
-                per_label.setdefault(labels[i], []).append((logw, predicted[i]))
+            per_label = surv_pdfs.setdefault(key, [[] for _ in idx])
+            for contribs, i in zip(per_label, idx):
+                contribs.append((logw, predicted[i]))
 
     surv = sorted(
         ((key, _lse(ws)) for key, ws in surv_w.items()),
-        key=lambda t: (-t[1], t[0].labels),
+        key=lambda t: (-t[1], t[0]),
     )
 
     # birth part
     births = k_best_bernoulli_subsets(np.array([e.existence for e in birth.entries]), subset_cap)
     birth_sets = [
-        (LabelSet(tuple(birth_labels[i] for i in idx)), lw, tuple(birth.entries[i].pdf for i in idx))
+        (tuple(birth_labels[i] for i in idx), lw, tuple(birth.entries[i].pdf for i in idx))
         for idx, lw in births
     ]
 
-    # combine: weights multiply, label sets union
-    pairs = _k_best_products([w for _, w in surv], [w for _, w, _ in birth_sets], 4 * max_hypotheses)
-
+    # combine: weights multiply, label sets union. The pairs come in
+    # non-increasing weight, the sum the final sort uses, so once
+    # max_hypotheses are held a lighter pair and all after it would be cut.
     hyps = []
-    pdf_cache: dict[tuple[LabelSet, Label], GaussianMixture] = {}
-    for i, j in pairs:
+    mixed: dict[LabelSet, tuple[GaussianMixture, ...]] = {}
+    for i, j in _k_best_products([w for _, w in surv], [w for _, w, _ in birth_sets], 4 * max_hypotheses):
         surv_key, surv_logw = surv[i]
         b_key, b_logw, b_pdfs = birth_sets[j]
+        log_w = surv_logw + b_logw
+        if len(hyps) >= max_hypotheses and log_w < hyps[-1].log_weight:
+            break
+        surv_mixed = mixed.get(surv_key)
+        if surv_mixed is None:
+            surv_mixed = mixed[surv_key] = tuple(_mix_contributions(c) for c in surv_pdfs[surv_key])
         # survivors were born before step k, so they sort before its births
-        label_set = LabelSet(surv_key.labels + b_key.labels)
-        pdfs = []
-        for lab in label_set:
-            if lab in b_key:
-                pdfs.append(b_pdfs[b_key.labels.index(lab)])
-            else:
-                cached = pdf_cache.get((surv_key, lab))
-                if cached is None:
-                    cached = _mix_contributions(surv_pdfs[surv_key][lab])
-                    pdf_cache[(surv_key, lab)] = cached
-                pdfs.append(cached)
-        hyps.append(MdGlmbHypothesis(label_set, surv_logw + b_logw, tuple(pdfs)))
+        hyps.append(MdGlmbHypothesis(surv_key + b_key, log_w, surv_mixed + b_pdfs))
 
-    hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
+    hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     return MdGlmbDensity.from_unnormalized(hyps[:max_hypotheses])
 
 
@@ -467,7 +471,7 @@ def mdglmb_update(
             pdfs.append(hit)
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
 
-    hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
+    hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     if cfg.hyp_prune_thresh > 0.0:
         floor = math.log(cfg.hyp_prune_thresh)
         hyps = [h for h in hyps if h.log_weight >= floor] or hyps[:1]
@@ -514,7 +518,7 @@ def extract_estimates_mdglmb(d: MdGlmbDensity) -> list[tuple[Label, np.ndarray]]
     pmf = cardinality_distribution_mdglmb(d)
     n_star = int(np.argmax(pmf))
     candidates = [h for h in d.hypotheses if len(h.label_set) == n_star]
-    candidates.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
+    candidates.sort(key=lambda h: (-h.log_weight, h.label_set))
     best = candidates[0]
     return [(lab, pdf.means[pdf.argmax_component()].copy()) for lab, pdf in zip(best.label_set, best.pdfs)]
 

@@ -58,12 +58,13 @@ def fuse_mdglmb(
     # the same pdf combination recurs across hypotheses; fuse each once
     fused_cache: dict[tuple, tuple] = {}
     hyps = []
-    for label_set in sorted(common, key=lambda s: s.labels):
+    for label_set in sorted(common):
         per_input = [(d.hypothesis(label_set), w) for d, w in active]
         log_w = sum(w * h.log_weight for h, w in per_input)
         pdfs = []
-        for lab in label_set:
-            parts = [(h.pdf(lab), w) for h, w in per_input]
+        # every input hypothesis carries label_set, so pdf i of each is label i's
+        for i in range(len(label_set)):
+            parts = [(h.pdfs[i], w) for h, w in per_input]
             key = tuple(gm_key(p) for p, _ in parts)
             hit = fused_cache.get(key)
             if hit is None:

@@ -151,7 +151,7 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
             ospa_total[node][k] = res.total
             ospa_loc[node][k] = res.localization
             ospa_card[node][k] = res.cardinality
-            estimates[node][k] = [[list(lab.as_pair()), [float(v) for v in s]] for lab, s in est]
+            estimates[node][k] = [[list(lab), [float(v) for v in s]] for lab, s in est]
 
     return TrialResult(
         algorithm=algorithm,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .densities import Label
 from .filters import BirthEntry, BirthModel, FilterConfig, MotionModel, ncv_motion_model
 from .gm import Gaussian, GaussianMixture
-from .labels import Label
 from .network import NetworkGraph
 from .sensors import SensorModel
 
@@ -66,10 +66,22 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+_SEQUENCE = (list, tuple)
+
+
+def _section(value, kind, field: str):
+    """value, if it is of the section's kind (dict or _SEQUENCE); a null or
+    a scalar in its place is an error naming the field."""
+    if not isinstance(value, kind):
+        want = "a mapping" if kind is dict else "a list"
+        raise ScenarioError(f"{field}: expected {want}, got {value!r}")
+    return value
+
+
 def _load_sensor(doc: dict, i: int, area, regime_clutter=None, regime_pd=None) -> SensorModel:
     where = f"sensors[{i}]"
     kind = _require(doc, "kind", where)
-    position = tuple(_require(doc, "position", where))
+    position = tuple(_section(_require(doc, "position", where), _SEQUENCE, f"{where}.position"))
     clutter = float(doc.get("clutter_rate", regime_clutter if regime_clutter is not None else 0.0))
     pd = float(doc.get("detection_prob", regime_pd if regime_pd is not None else 0.99))
     if kind == "toa":
@@ -93,9 +105,10 @@ def _load_sensor(doc: dict, i: int, area, regime_clutter=None, regime_pd=None) -
 
 def _load_birth(doc: dict) -> BirthModel:
     existence = float(_require(doc, "existence", "birth"))
-    cov = np.diag(np.asarray(_require(doc, "cov_diag", "birth"), dtype=float))
+    cov_diag = _section(_require(doc, "cov_diag", "birth"), _SEQUENCE, "birth.cov_diag")
+    cov = np.diag(np.asarray(cov_diag, dtype=float))
     entries = []
-    for i, loc in enumerate(_require(doc, "locations", "birth")):
+    for i, loc in enumerate(_section(_require(doc, "locations", "birth"), _SEQUENCE, "birth.locations")):
         mean = np.asarray(loc, dtype=float)
         if mean.shape != (4,):
             raise ScenarioError(f"birth.locations[{i}]: expected a 4-vector [px, vx, py, vy]")
@@ -130,7 +143,7 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
     if doc.get("schema") != 1:
         raise ScenarioError(f"schema: expected 1, got {doc.get('schema')!r}")
     name = doc.get("name", name)
-    area_doc = _require(doc, "area", name)
+    area_doc = _section(_require(doc, "area", name), dict, "area")
     area = tuple(float(area_doc[k]) for k in ("xmin", "xmax", "ymin", "ymax"))
     if area[1] <= area[0] or area[3] <= area[2]:
         raise ScenarioError("area: xmax/ymax must exceed xmin/ymin")
@@ -147,12 +160,14 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
     regime_clutter = doc.get("clutter_rate")
     regime_pd = doc.get("detection_prob")
     sensors = tuple(
-        _load_sensor(s, i, area, regime_clutter, regime_pd) for i, s in enumerate(_require(doc, "sensors", name))
+        _load_sensor(_section(s, dict, f"sensors[{i}]"), i, area, regime_clutter, regime_pd)
+        for i, s in enumerate(_section(_require(doc, "sensors", name), _SEQUENCE, "sensors"))
     )
     if not sensors:
         raise ScenarioError("sensors: at least one sensor required")
 
-    edge_doc = _require(doc, "graph", name).get("edges", [])
+    graph_doc = _section(_require(doc, "graph", name), dict, "graph")
+    edge_doc = _section(graph_doc.get("edges", []), _SEQUENCE, "graph.edges")
     try:
         graph = NetworkGraph.from_undirected_edges(tuple(range(len(sensors))), [tuple(e) for e in edge_doc])
     except ValueError as e:
@@ -161,18 +176,22 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
         raise ScenarioError("graph: sensor network must be connected")
 
     trajectories = []
-    for i, t in enumerate(doc.get("trajectories", [])):
+    for i, t in enumerate(_section(doc.get("trajectories", []), _SEQUENCE, "trajectories")):
         where = f"trajectories[{i}]"
+        _section(t, dict, where)
         birth = int(_require(t, "birth", where))
         death = int(_require(t, "death", where))
         if death <= birth:
             raise ScenarioError(f"{where}: death step {death} must exceed birth step {birth}")
         if birth < 0 or death > steps:
             raise ScenarioError(f"{where}: lifetime [{birth}, {death}) outside 0..{steps}")
-        state = tuple(float(v) for v in _require(t, "state", where))
+        state = tuple(float(v) for v in _section(_require(t, "state", where), _SEQUENCE, f"{where}.state"))
         if len(state) != 4:
             raise ScenarioError(f"{where}.state: expected [px, vx, py, vy]")
-        changes = tuple((int(c[0]), float(c[1]), float(c[2])) for c in t.get("velocity_changes", []))
+        changes = tuple(
+            (int(c[0]), float(c[1]), float(c[2]))
+            for c in _section(t.get("velocity_changes", []), _SEQUENCE, f"{where}.velocity_changes")
+        )
         trajectories.append(TruthTrajectory(birth, death, state, changes))
 
     scenario = Scenario(
@@ -182,11 +201,11 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
         steps=steps,
         process_noise_std=float(doc.get("process_noise_std", 5.0)),
         survival_prob=survival_prob,
-        birth=_load_birth(_require(doc, "birth", name)),
+        birth=_load_birth(_section(_require(doc, "birth", name), dict, "birth")),
         sensors=sensors,
         graph=graph,
         trajectories=tuple(trajectories),
-        filter=_load_filter(doc.get("filter", {})),
+        filter=_load_filter(_section(doc.get("filter", {}), dict, "filter")),
         consensus_steps=int(doc.get("consensus_steps", 1)),
         trials=int(doc.get("trials", 1)),
         seed=int(doc.get("seed", 0)),
@@ -251,7 +270,7 @@ def generate_truth(s: Scenario) -> list[list[tuple[Label, np.ndarray]]]:
     labeled = []
     for t in s.trajectories:
         birth_counters[t.birth_step] = birth_counters.get(t.birth_step, 0) + 1
-        labeled.append((Label(t.birth_step, birth_counters[t.birth_step]), t))
+        labeled.append(((t.birth_step, birth_counters[t.birth_step]), t))
 
     out: list[list[tuple[Label, np.ndarray]]] = []
     states: dict[Label, np.ndarray] = {}

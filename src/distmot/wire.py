@@ -1,6 +1,7 @@
 """Wire format for the densities exchanged between nodes.
 
-JSON documents, schema "lrfs-density/1". Labels are [k, i] pairs,
+JSON documents, schema "lrfs-density/1". Labels are [k, i] pairs of
+integers (birth step k >= 0, index i >= 1, checked on decode),
 hypothesis weights are log-weights, component covariances are row-major
 flat lists. Values are serialized in double precision; the reference byte
 accounting below assumes 4-byte floats with a single Gaussian per track
@@ -14,9 +15,8 @@ import json
 
 import numpy as np
 
-from .densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis, check_density
+from .densities import Label, LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis, check_density
 from .gm import GaussianMixture
-from .labels import Label, LabelSet
 
 SCHEMA = "lrfs-density/1"
 
@@ -43,7 +43,7 @@ def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:
             "schema": SCHEMA,
             "kind": "lmb",
             "entries": [
-                {"label": list(e.label.as_pair()), "existence": e.existence, "pdf": _pdf_to_dict(e.pdf)}
+                {"label": list(e.label), "existence": e.existence, "pdf": _pdf_to_dict(e.pdf)}
                 for e in d.entries
             ],
         }
@@ -53,10 +53,10 @@ def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:
             "kind": "mdglmb",
             "hypotheses": [
                 {
-                    "labels": [list(l.as_pair()) for l in h.label_set],
+                    "labels": [list(l) for l in h.label_set],
                     "log_weight": h.log_weight,
                     "tracks": [
-                        {"label": list(l.as_pair()), "pdf": _pdf_to_dict(p)}
+                        {"label": list(l), "pdf": _pdf_to_dict(p)}
                         for l, p in zip(h.label_set, h.pdfs)
                     ],
                 }
@@ -76,6 +76,20 @@ def _existence(r) -> float:
     return float(min(max(r, 0.0), 1.0)) if -1e-12 <= r <= 1.0 + 1e-12 else r
 
 
+def _label(value) -> Label:
+    """The label a wire [k, i] pair names: integers (not bools), birth step
+    k >= 0 and index i >= 1."""
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        and value[0] >= 0
+        and value[1] >= 1
+    ):
+        return (value[0], value[1])
+    raise ValueError(f"label {value!r} is not a pair [k, i] of integers with k >= 0 and i >= 1")
+
+
 def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
     """Decode and check a density document; the only way a density enters
     from outside."""
@@ -84,16 +98,16 @@ def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
     if doc["kind"] == "lmb":
         d = LmbDensity(
             tuple(
-                LmbEntry(Label(*e["label"]), _existence(e["existence"]), _pdf_from_dict(e["pdf"]))
+                LmbEntry(_label(e["label"]), _existence(e["existence"]), _pdf_from_dict(e["pdf"]))
                 for e in doc["entries"]
             )
         )
     elif doc["kind"] == "mdglmb":
         hyps = []
         for h in doc["hypotheses"]:
-            labels = LabelSet(tuple(sorted(Label(*l) for l in h["labels"])))
-            by_label = {tuple(t["label"]): _pdf_from_dict(t["pdf"]) for t in h["tracks"]}
-            pdfs = tuple(by_label[l.as_pair()] for l in labels)
+            labels = tuple(sorted(_label(l) for l in h["labels"]))
+            by_label = {_label(t["label"]): _pdf_from_dict(t["pdf"]) for t in h["tracks"]}
+            pdfs = tuple(by_label[l] for l in labels)
             hyps.append(MdGlmbHypothesis(labels, h["log_weight"], pdfs))
         d = MdGlmbDensity(tuple(hyps))
     else:

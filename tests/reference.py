@@ -2,7 +2,8 @@
 
 Closed-form single-Gaussian algebra, mixture moments and pointwise
 densities, the delta-GLMB with explicit association tags and its
-marginalization, consensus-matrix convergence checks, and TOA/DOA sensor
+marginalization, the M-delta-GLMB prediction that builds every candidate
+union before truncating, consensus-matrix convergence checks, and TOA/DOA sensor
 factories. The package itself never needs them, so they live with the
 tests.
 """
@@ -16,9 +17,8 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.special
 
-from distmot.densities import NORMALIZATION_ATOL, MdGlmbDensity, MdGlmbHypothesis
+from distmot.densities import NORMALIZATION_ATOL, Label, LabelSet, MdGlmbDensity, MdGlmbHypothesis
 from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, PositiveDefiniteError, log_beta, logsumexp, symmetrize
-from distmot.labels import Label, LabelSet
 from distmot.network import ConsensusMatrix
 from distmot.sensors import SensorModel
 
@@ -223,7 +223,7 @@ class DeltaGlmbComponent:
     pdfs: tuple[GaussianMixture, ...]
 
     def pdf(self, label: Label) -> GaussianMixture:
-        return self.pdfs[self.label_set.labels.index(label)]
+        return self.pdfs[self.label_set.index(label)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +259,67 @@ def marginalize_delta_glmb(d: DeltaGlmbDensity) -> MdGlmbDensity:
             pdfs.append(GaussianMixture(lw, mu, cv).normalized())
         hyps.append(MdGlmbHypothesis(label_set, log_w, tuple(pdfs)))
     return MdGlmbDensity.from_unnormalized(hyps)
+
+
+# --- prediction ----------------------------------------------------------------
+
+
+def mdglmb_predict_build_all(
+    posterior: MdGlmbDensity,
+    motion,
+    birth,
+    k: int,
+    max_hypotheses: int,
+) -> MdGlmbDensity:
+    """`filters.mdglmb_predict` as it was before it stopped drawing pairs:
+    build a hypothesis for each of the 4 max_hypotheses best (survivor,
+    birth) pairs, sort them and keep max_hypotheses."""
+    from distmot.densities import k_best_bernoulli_subsets
+    from distmot.filters import _k_best_products, _lse, _mix_contributions, _survival_stats, _surviving_pdf
+
+    birth_labels = birth.labels_at(k)
+    subset_cap = max(4 * max_hypotheses, 64)
+    surv_w: dict[LabelSet, list[float]] = {}
+    surv_pdfs: dict[LabelSet, dict[Label, list[tuple[float, GaussianMixture]]]] = {}
+    for h in posterior.hypotheses:
+        labels = h.label_set
+        ps_bar = np.zeros(len(labels))
+        predicted: list[GaussianMixture | None] = [None] * len(labels)
+        for i, pdf in enumerate(h.pdfs):
+            s, pb = _survival_stats(pdf, motion)
+            ps_bar[i] = pb
+            if pb > 0.0:
+                predicted[i] = _surviving_pdf(pdf, s, pb, motion)
+        for idx, rel_logw in k_best_bernoulli_subsets(ps_bar, subset_cap):
+            key = tuple(labels[i] for i in idx)
+            logw = h.log_weight + rel_logw
+            surv_w.setdefault(key, []).append(logw)
+            per_label = surv_pdfs.setdefault(key, {})
+            for i in idx:
+                per_label.setdefault(labels[i], []).append((logw, predicted[i]))
+    surv = sorted(((key, _lse(ws)) for key, ws in surv_w.items()), key=lambda t: (-t[1], t[0]))
+
+    births = k_best_bernoulli_subsets(np.array([e.existence for e in birth.entries]), subset_cap)
+    birth_sets = [
+        (tuple(birth_labels[i] for i in idx), lw, tuple(birth.entries[i].pdf for i in idx))
+        for idx, lw in births
+    ]
+    pairs = list(_k_best_products([w for _, w in surv], [w for _, w, _ in birth_sets], 4 * max_hypotheses))
+
+    hyps = []
+    for i, j in pairs:
+        surv_key, surv_logw = surv[i]
+        b_key, b_logw, b_pdfs = birth_sets[j]
+        label_set = surv_key + b_key
+        pdfs = []
+        for lab in label_set:
+            if lab in b_key:
+                pdfs.append(b_pdfs[b_key.index(lab)])
+            else:
+                pdfs.append(_mix_contributions(surv_pdfs[surv_key][lab]))
+        hyps.append(MdGlmbHypothesis(label_set, surv_logw + b_logw, tuple(pdfs)))
+    hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
+    return MdGlmbDensity.from_unnormalized(hyps[:max_hypotheses])
 
 
 # --- consensus matrices -------------------------------------------------------

@@ -13,8 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from distmot.densities import LmbDensity, MdGlmbDensity
-from distmot.labels import Label, LabelSet
+from distmot.densities import Label, LmbDensity, MdGlmbDensity
 from reference import gm_pdf
 
 # evaluator(labels, X) -> density values at the labeled sets
@@ -76,7 +75,7 @@ def mdglmb_evaluator(d: MdGlmbDensity) -> SetDensityEvaluator:
     """Pointwise multi-object density of a marginalized delta-GLMB (scalar states)."""
 
     def evaluate(labels: tuple[Label, ...], points: np.ndarray) -> np.ndarray:
-        h = d.hypothesis(LabelSet(tuple(sorted(labels))))
+        h = d.hypothesis(tuple(sorted(labels)))
         if h is None or len(set(labels)) != len(labels):
             return np.zeros(points.shape[0])
         out = np.full(points.shape[0], np.exp(h.log_weight))

@@ -27,7 +27,6 @@ from distmot.filters import FilterConfig, UpdateDiagnostics, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.harness import run_experiment, run_trial, trial_seed_for
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.network import NetworkGraph, metropolis_weights
 from distmot.ospa import ospa
 from distmot.scenario import Scenario, load_scenario, with_overrides
@@ -43,7 +42,7 @@ from reference import (
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 from test_assignment import exhaustive_assignments
 
-L1, L2 = Label(0, 1), Label(0, 2)
+L1, L2 = (0, 1), (0, 2)
 CFG = FilterConfig()
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -62,11 +61,11 @@ def g1(mean, var=1.0):
 def random_two_label_mdglmb(rng):
     w = rng.dirichlet(np.ones(4))
     return MdGlmbDensity.from_unnormalized([
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(w[0]), ()),
-        MdGlmbHypothesis(LabelSet((L1,)), math.log(w[1]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
-        MdGlmbHypothesis(LabelSet((L2,)), math.log(w[2]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
+        MdGlmbHypothesis((), math.log(w[0]), ()),
+        MdGlmbHypothesis((L1,), math.log(w[1]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
+        MdGlmbHypothesis((L2,), math.log(w[2]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
         MdGlmbHypothesis(
-            LabelSet((L1, L2)), math.log(w[3]),
+            (L1, L2), math.log(w[3]),
             (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)), g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0))),
         ),
     ])
@@ -85,10 +84,10 @@ def test_criterion_1_mdglmb_fusion_closure_oracle():
         masses = {ls: subset_integral(ev, ls, grid) for ls in [(), (L1,), (L2,), (L1, L2)]}
         total = sum(masses.values())
         for ls, mass in masses.items():
-            got = math.exp(fused.hypothesis(LabelSet(ls)).log_weight)
+            got = math.exp(fused.hypothesis(ls).log_weight)
             worst = max(worst, abs(got - mass / total) / (mass / total))
         _, means, variances = subset_moments(ev, (L1, L2), grid)
-        h = fused.hypothesis(LabelSet((L1, L2)))
+        h = fused.hypothesis((L1, L2))
         for i in range(2):
             worst = max(worst, abs(gm_mean(h.pdfs[i])[0] - means[i]) / max(abs(means[i]), 1e-6))
             worst = max(worst, abs(gm_covariance(h.pdfs[i])[0, 0] - variances[i]) / variances[i])
@@ -155,7 +154,7 @@ def test_criterion_3_ci_equivalence_over_consensus():
         a = rng.normal(size=(4, 4))
         gaussians.append(Gaussian(rng.normal(scale=2.0, size=4), a @ a.T + 0.5 * np.eye(4)))
     densities = [
-        MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (GaussianMixture.single(ga),)),))
+        MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (GaussianMixture.single(ga),)),))
         for ga in gaussians
     ]
     infos = [np.linalg.inv(ga.cov) for ga in gaussians]
@@ -217,9 +216,9 @@ def test_criterion_5_update_exhaustive_vs_ranked(monkeypatch):
         return GaussianMixture.single(Gaussian([px, 0.0, 0.0, 0.0], np.diag([pos_var, 1.0, 1.0, 1.0])))
 
     predicted = MdGlmbDensity.from_unnormalized([
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-        MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (track(-4.0, 4.0),)),
-        MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (track(-4.0, 4.0), track(5.0, 9.0))),
+        MdGlmbHypothesis((), math.log(0.2), ()),
+        MdGlmbHypothesis((L1,), math.log(0.3), (track(-4.0, 4.0),)),
+        MdGlmbHypothesis((L1, L2), math.log(0.5), (track(-4.0, 4.0), track(5.0, 9.0))),
     ])
     Z = [-3.2, 5.9]
     cfg = FilterConfig(assignments_per_hypothesis=16)
@@ -251,7 +250,7 @@ def test_criterion_6_marginalization_preserves_moments():
         for si, subset in enumerate(subsets):
             for t in range(n_tags):
                 pdfs = tuple(g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)) for _ in subset)
-                comps.append(DeltaGlmbComponent(LabelSet(subset), t, math.log(weights[si, t]), pdfs))
+                comps.append(DeltaGlmbComponent(subset, t, math.log(weights[si, t]), pdfs))
         d = DeltaGlmbDensity(tuple(comps))
         m = marginalize_delta_glmb(d)
 

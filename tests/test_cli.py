@@ -23,6 +23,12 @@ def test_validate_invalid_scenario(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_validate_null_section(tmp_path, capsys):
+    # `filter:` with nothing under it loads as null
+    assert main(["validate", "--scenario", write_scenario(tmp_path, filter=None)]) == EXIT_VALIDATION
+    assert "filter: expected a mapping, got None" in capsys.readouterr().err
+
+
 def test_run_writes_node_network_and_summary(tmp_path):
     out = tmp_path / "out"
     argv = ["run", "--scenario", write_scenario(tmp_path), "--algorithm", "consensus-lmb", "--trials", "1", "--out", str(out)]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from distmot.densities import (
     lmb_to_mdglmb,
 )
 from distmot.gm import Gaussian, GaussianMixture
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
-from distmot.wire import density_from_json, density_to_dict
+from distmot.wire import density_from_dict, density_from_json, density_to_dict
 from reference import DeltaGlmbComponent, DeltaGlmbDensity, gm_mean, marginalize_delta_glmb
 
 
@@ -30,7 +30,7 @@ def g1(mean, var=1.0):
     return GaussianMixture.single(Gaussian([mean], [[var]]))
 
 
-L1, L2, L3 = Label(0, 1), Label(0, 2), Label(1, 1)
+L1, L2, L3 = (0, 1), (0, 2), (1, 1)
 
 
 def random_mdglmb(rng, labels, dim=1):
@@ -41,7 +41,7 @@ def random_mdglmb(rng, labels, dim=1):
         itertools.combinations(labels, n) for n in range(len(labels) + 1)
     )):
         pdfs = tuple(g1(rng.normal(scale=3.0), rng.uniform(0.5, 2.0)) for _ in subset)
-        hyps.append(MdGlmbHypothesis(LabelSet(subset), math.log(w), pdfs))
+        hyps.append(MdGlmbHypothesis(subset, math.log(w), pdfs))
     return MdGlmbDensity.from_unnormalized(hyps)
 
 
@@ -52,7 +52,7 @@ def decode_hypotheses(label_lists, log_weights=None):
     doc = {"schema": "lrfs-density/1", "kind": "mdglmb", "hypotheses": []}
     pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, g1(0.0)),)))["entries"][0]["pdf"]
     for labels, lw in zip(label_lists, log_weights):
-        pairs = [list(l.as_pair()) for l in labels]
+        pairs = [list(l) for l in labels]
         doc["hypotheses"].append(
             {"labels": pairs, "log_weight": lw, "tracks": [{"label": p, "pdf": pdf} for p in pairs]}
         )
@@ -60,23 +60,40 @@ def decode_hypotheses(label_lists, log_weights=None):
 
 
 class TestLabels:
-    def test_label_ordering(self):
-        assert Label(0, 1) < Label(0, 2) < Label(1, 1) < Label(1, 2)
-
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            Label(-1, 1)
-        with pytest.raises(ValueError):
-            Label(0, 0)
+    @pytest.mark.parametrize(
+        "label, ok",
+        [
+            ([0, 1], True),
+            ([-1, 1], False),
+            ([0, 0], False),
+            ([0.5, 1], False),
+            ([True, 1], False),
+            ([1, 2, 3], False),
+        ],
+        ids=["valid", "negative_step", "zero_index", "float_step", "bool_step", "three_ints"],
+    )
+    def test_label_validation(self, label, ok):
+        # labels are checked where they enter: in LMB entries and in
+        # hypothesis label lists on wire decode
+        pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, g1(0.0)),)))["entries"][0]["pdf"]
+        lmb = {"schema": "lrfs-density/1", "kind": "lmb", "entries": [{"label": label, "existence": 0.5, "pdf": pdf}]}
+        hyp = {"labels": [label], "log_weight": 0.0, "tracks": [{"label": label, "pdf": pdf}]}
+        mdglmb = {"schema": "lrfs-density/1", "kind": "mdglmb", "hypotheses": [hyp]}
+        for doc, labels_of in ((lmb, lambda d: d.labels), (mdglmb, lambda d: d.label_space())):
+            if ok:
+                assert labels_of(density_from_dict(doc)) == ((0, 1),)
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+                    density_from_dict(doc)
 
     def test_labelset_sorted_and_unique(self):
         # decoding sorts a label list; check_density rejects an unsorted or
         # duplicated label set
         d = decode_hypotheses([[L3, L1, L2]])
-        assert d.hypotheses[0].label_set.labels == (L1, L2, L3)
+        assert d.hypotheses[0].label_set == (L1, L2, L3)
         for labels in [(L2, L1), (L1, L1)]:
-            with pytest.raises(ValueError, match=r"\(0,[12]\)"):
-                check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet(labels), 0.0, (g1(0.0), g1(1.0))),)))
+            with pytest.raises(ValueError, match=r"\(0, [12]\)"):
+                check_density(MdGlmbDensity((MdGlmbHypothesis(labels, 0.0, (g1(0.0), g1(1.0))),)))
         with pytest.raises(ValueError, match="duplicated or out of order"):
             decode_hypotheses([[L1, L1]])
 
@@ -94,8 +111,8 @@ class TestCardinalityMdglmb:
 
     def test_two_hypotheses(self):
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.3), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.7), (g1(0.0),)),
+            MdGlmbHypothesis((), math.log(0.3), ()),
+            MdGlmbHypothesis((L1,), math.log(0.7), (g1(0.0),)),
         ])
         assert np.allclose(cardinality_distribution_mdglmb(d), [0.3, 0.7])
 
@@ -121,7 +138,7 @@ class TestCardinalityLmb:
         assert np.allclose(cardinality_distribution_lmb(d), [0.25, 0.5, 0.25])
 
     def test_ten_entries_vs_exhaustive(self):
-        labels = [Label(0, i) for i in range(1, 11)]
+        labels = [(0, i) for i in range(1, 11)]
         d = LmbDensity(tuple(LmbEntry(l, 0.09, g1(float(i))) for i, l in enumerate(labels)))
         pmf = cardinality_distribution_lmb(d)
         expect = np.zeros(11)
@@ -135,7 +152,7 @@ class TestCardinalityLmb:
 class TestIntensity:
     def test_certain_single_label(self):
         pdf = g1(2.0)
-        d = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (pdf,)),))
+        d = MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (pdf,)),))
         mass, mix = intensity_mdglmb(d, L1)
         assert mass == pytest.approx(1.0)
         assert np.allclose(mix.means, pdf.means)
@@ -143,8 +160,8 @@ class TestIntensity:
     def test_partial_existence(self):
         pdf = g1(2.0)
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.4), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.6), (pdf,)),
+            MdGlmbHypothesis((), math.log(0.4), ()),
+            MdGlmbHypothesis((L1,), math.log(0.6), (pdf,)),
         ])
         mass, mix = intensity_mdglmb(d, L1)
         assert mass == pytest.approx(0.6, abs=1e-12)
@@ -154,9 +171,9 @@ class TestIntensity:
     def test_three_hypothesis_hand_sum(self):
         pa, pb = g1(0.0), g1(5.0)
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (pa,)),
-            MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (pb, g1(9.0))),
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (pa,)),
+            MdGlmbHypothesis((L1, L2), math.log(0.5), (pb, g1(9.0))),
         ])
         mass, mix = intensity_mdglmb(d, L1)
         assert mass == pytest.approx(0.8, abs=1e-12)
@@ -173,21 +190,21 @@ class TestMarginalizeDeltaGlmb:
     def test_single_tag_identity(self):
         pdf = g1(1.0)
         d = DeltaGlmbDensity((
-            DeltaGlmbComponent(LabelSet((L1,)), "t0", math.log(0.6), (pdf,)),
-            DeltaGlmbComponent(EMPTY_LABEL_SET, "t0", math.log(0.4), ()),
+            DeltaGlmbComponent((L1,), "t0", math.log(0.6), (pdf,)),
+            DeltaGlmbComponent((), "t0", math.log(0.4), ()),
         ))
         m = marginalize_delta_glmb(d)
         assert np.allclose(cardinality_distribution_mdglmb(m), [0.4, 0.6])
-        assert np.allclose(m.hypothesis(LabelSet((L1,))).pdfs[0].means, pdf.means)
+        assert np.allclose(m.hypothesis((L1,)).pdfs[0].means, pdf.means)
 
     def test_equal_weight_tags_mix_pdfs(self):
         ga, gb = g1(0.0), g1(4.0)
         d = DeltaGlmbDensity((
-            DeltaGlmbComponent(LabelSet((L1,)), 0, math.log(0.5), (ga,)),
-            DeltaGlmbComponent(LabelSet((L1,)), 1, math.log(0.5), (gb,)),
+            DeltaGlmbComponent((L1,), 0, math.log(0.5), (ga,)),
+            DeltaGlmbComponent((L1,), 1, math.log(0.5), (gb,)),
         ))
         m = marginalize_delta_glmb(d)
-        h = m.hypothesis(LabelSet((L1,)))
+        h = m.hypothesis((L1,))
         assert h.log_weight == pytest.approx(0.0, abs=1e-12)
         assert gm_mean(h.pdfs[0])[0] == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(np.exp(h.pdfs[0].log_w), [0.5, 0.5])
@@ -204,7 +221,7 @@ class TestMarginalizeDeltaGlmb:
         for si, subset in enumerate(subsets):
             for t in range(n_tags):
                 pdfs = tuple(g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)) for _ in subset)
-                comps.append(DeltaGlmbComponent(LabelSet(subset), t, math.log(weights[si, t]), pdfs))
+                comps.append(DeltaGlmbComponent(subset, t, math.log(weights[si, t]), pdfs))
         d = DeltaGlmbDensity(tuple(comps))
         m = marginalize_delta_glmb(d)
 
@@ -231,8 +248,8 @@ class TestMarginalizeDeltaGlmb:
 class TestLmbConversions:
     def test_from_mdglmb_fifty_fifty(self):
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.5), (g1(0.0),)),
+            MdGlmbHypothesis((), math.log(0.5), ()),
+            MdGlmbHypothesis((L1,), math.log(0.5), (g1(0.0),)),
         ])
         lmb = lmb_from_mdglmb(d)
         assert lmb.entry(L1).existence == pytest.approx(0.5, abs=1e-12)
@@ -241,7 +258,7 @@ class TestLmbConversions:
         hyps = []
         for subset in [(), (L1,), (L2,), (L1, L2)]:
             pdfs = tuple(g1(0.0) for _ in subset)
-            hyps.append(MdGlmbHypothesis(LabelSet(subset), math.log(0.25), pdfs))
+            hyps.append(MdGlmbHypothesis(subset, math.log(0.25), pdfs))
         lmb = lmb_from_mdglmb(MdGlmbDensity.from_unnormalized(hyps))
         assert lmb.entry(L1).existence == pytest.approx(0.5, abs=1e-12)
         assert lmb.entry(L2).existence == pytest.approx(0.5, abs=1e-12)
@@ -260,13 +277,13 @@ class TestLmbConversions:
     def test_to_mdglmb_single_entry(self):
         lmb = LmbDensity((LmbEntry(L1, 0.09, g1(0.0)),))
         d = lmb_to_mdglmb(lmb, 2)
-        assert math.exp(d.hypothesis(EMPTY_LABEL_SET).log_weight) == pytest.approx(0.91, abs=1e-12)
-        assert math.exp(d.hypothesis(LabelSet((L1,))).log_weight) == pytest.approx(0.09, abs=1e-12)
+        assert math.exp(d.hypothesis(()).log_weight) == pytest.approx(0.91, abs=1e-12)
+        assert math.exp(d.hypothesis((L1,)).log_weight) == pytest.approx(0.09, abs=1e-12)
 
     def test_to_mdglmb_zero_existence(self):
         lmb = LmbDensity((LmbEntry(L1, 0.0, g1(0.0)),))
         d = lmb_to_mdglmb(lmb, 2)
-        assert len(d) == 1 and d.hypotheses[0].label_set == EMPTY_LABEL_SET
+        assert len(d) == 1 and d.hypotheses[0].label_set == ()
 
     def test_to_mdglmb_three_entries_full_enumeration(self):
         rs = [0.2, 0.5, 0.9]
@@ -277,7 +294,7 @@ class TestLmbConversions:
         total = sum(math.exp(h.log_weight) for h in d.hypotheses)
         assert total == pytest.approx(1.0, abs=1e-12)
         # spot-check one subset against the Bernoulli product
-        w = math.exp(d.hypothesis(LabelSet((L1, L3))).log_weight)
+        w = math.exp(d.hypothesis((L1, L3)).log_weight)
         assert w == pytest.approx(0.2 * 0.5 * 0.9, abs=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
@@ -327,18 +344,18 @@ class TestValidation:
 
     def test_mdglmb_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            check_density(MdGlmbDensity((MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),)))
+            check_density(MdGlmbDensity((MdGlmbHypothesis((), math.log(0.5), ()),)))
         with pytest.raises(ValueError, match="not normalized"):
             decode_hypotheses([[], [L1]], [math.log(0.5), math.log(0.4)])
         decode_hypotheses([[], [L1]], [math.log(0.5), math.log(0.5)])
 
     def test_mdglmb_rejects_duplicate_sets(self):
-        with pytest.raises(ValueError, match=r"hypothesis \{\} is duplicated"):
+        with pytest.raises(ValueError, match=r"hypothesis \(\) is duplicated"):
             check_density(MdGlmbDensity((
-                MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-                MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
+                MdGlmbHypothesis((), math.log(0.5), ()),
+                MdGlmbHypothesis((), math.log(0.5), ()),
             )))
-        with pytest.raises(ValueError, match=r"hypothesis \{\(0,1\),\(0,2\)\} is duplicated"):
+        with pytest.raises(ValueError, match=r"hypothesis \(\(0, 1\), \(0, 2\)\) is duplicated"):
             decode_hypotheses([[L1, L2], [L2, L1]])
 
     def test_mdglmb_rejects_empty(self):
@@ -346,11 +363,11 @@ class TestValidation:
             check_density(MdGlmbDensity(()))
 
     def test_lmb_rejects_bad_existence(self):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0,1\)"):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0, 1\)"):
             check_density(LmbDensity((LmbEntry(L1, 1.5, g1(0.0)),)))
         doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
         doc["entries"][0]["existence"] = 1.5
-        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0,1\)"):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0, 1\)"):
             density_from_json(json.dumps(doc))
         # rounding within 1e-12 of [0, 1] is clamped on decode
         doc["entries"][0]["existence"] = 1.0 + 1e-13
@@ -366,20 +383,20 @@ class TestValidation:
     def test_lmb_rejects_duplicate_labels(self):
         doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
         doc["entries"].append(doc["entries"][0])
-        with pytest.raises(ValueError, match=r"label \(0,1\) in the LMB density is duplicated"):
+        with pytest.raises(ValueError, match=r"label \(0, 1\) in the LMB density is duplicated"):
             density_from_json(json.dumps(doc))
 
     def test_lmb_rejects_unnormalized_pdf(self):
         pdf = GaussianMixture(np.array([math.log(0.5)]), np.zeros((1, 1)), np.ones((1, 1, 1)))
-        with pytest.raises(ValueError, match=r"pdf for \(0,1\) is not normalized"):
+        with pytest.raises(ValueError, match=r"pdf for \(0, 1\) is not normalized"):
             check_density(LmbDensity((LmbEntry(L1, 0.5, pdf),)))
         check_density(LmbDensity((LmbEntry(L1, 0.0, GaussianMixture.empty(1)),)))
 
     def test_hypothesis_pdf_count_mismatch(self):
-        with pytest.raises(ValueError, match=r"hypothesis \{\(0,1\),\(0,2\)\} carries 1 pdfs for 2 labels"):
-            check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1, L2)), 0.0, (g1(0.0),)),)))
-        with pytest.raises(ValueError, match=r"pdf for \(0,2\) in hypothesis \{\(0,1\),\(0,2\)\} is not normalized"):
-            check_density(MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1, L2)), 0.0, (g1(0.0), GaussianMixture.empty(1))),)))
+        with pytest.raises(ValueError, match=r"hypothesis \(\(0, 1\), \(0, 2\)\) carries 1 pdfs for 2 labels"):
+            check_density(MdGlmbDensity((MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0),)),)))
+        with pytest.raises(ValueError, match=r"pdf for \(0, 2\) in hypothesis \(\(0, 1\), \(0, 2\)\) is not normalized"):
+            check_density(MdGlmbDensity((MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0), GaussianMixture.empty(1))),)))
 
     def test_internal_results_pass(self):
         rng = np.random.default_rng(4)
@@ -388,7 +405,8 @@ class TestValidation:
         check_density(lmb_from_mdglmb(d))
         check_density(lmb_to_mdglmb(lmb_from_mdglmb(d), 8))
         # enough labels that a set of them does not iterate in label order
-        labels = tuple(Label(k, i) for k in range(0, 40, 3) for i in (1, 2))
-        wide = MdGlmbDensity((MdGlmbHypothesis(LabelSet(labels), 0.0, tuple(g1(0.0) for _ in labels)),))
-        assert wide.label_space().labels == labels
+        labels = tuple((k, i) for k in range(0, 40, 3) for i in (1, 2))
+        assert tuple(set(labels)) != labels
+        wide = MdGlmbDensity((MdGlmbHypothesis(labels, 0.0, tuple(g1(0.0) for _ in labels)),))
+        assert wide.label_space() == labels
         check_density(lmb_from_mdglmb(wide))

@@ -35,12 +35,11 @@ from distmot.filters import (
 from distmot.assignment import ranked_assignments
 from distmot.filters import _lse, _mix_contributions, _PsiTable
 from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.sensors import unscented_update_mixture
-from reference import gm_covariance, gm_mean, make_doa, make_toa
+from reference import gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all
 from test_assignment import exhaustive_assignments
 
-L1, L2, L3 = Label(0, 1), Label(0, 2), Label(1, 1)
+L1, L2, L3 = (0, 1), (0, 2), (1, 1)
 
 
 def g1(mean, var=1.0):
@@ -97,33 +96,33 @@ class TestMdglmbPredict:
         birth = BirthModel((BirthEntry(1, 0.09, g1(5.0)),))
         pred = mdglmb_predict(MdGlmbDensity.empty(), motion_1d(), birth, k=3, max_hypotheses=8)
         assert len(pred) == 2
-        w_empty = math.exp(pred.hypothesis(EMPTY_LABEL_SET).log_weight)
-        lab = Label(3, 1)
-        h1 = pred.hypothesis(LabelSet((lab,)))
+        w_empty = math.exp(pred.hypothesis(()).log_weight)
+        lab = (3, 1)
+        h1 = pred.hypothesis((lab,))
         assert w_empty == pytest.approx(0.91, abs=1e-12)
         assert math.exp(h1.log_weight) == pytest.approx(0.09, abs=1e-12)
         assert np.allclose(h1.pdfs[0].means, [[5.0]])
 
     def test_certain_survival_no_birth_preserves_weights(self):
         hyps = [
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.3), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.7), (g1(2.0),)),
+            MdGlmbHypothesis((), math.log(0.3), ()),
+            MdGlmbHypothesis((L1,), math.log(0.7), (g1(2.0),)),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         motion = MotionModel(np.eye(1) * 2.0, [[0.5]], 1.0)
         pred = mdglmb_predict(d, motion, BirthModel.empty(), k=1, max_hypotheses=8)
         assert np.allclose(cardinality_distribution_mdglmb(pred), [0.3, 0.7])
-        h = pred.hypothesis(LabelSet((L1,)))
+        h = pred.hypothesis((L1,))
         assert np.allclose(h.pdfs[0].means, [[4.0]])  # Kalman-predicted mean 2*2
         assert np.allclose(h.pdfs[0].covs, [[[0.5 + 4.0]]])
 
     def test_two_label_survival_weights_match_subset_sum_oracle(self):
         ps = 0.99
         hyps = [
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (g1(0.0),)),
-            MdGlmbHypothesis(LabelSet((L2,)), math.log(0.1), (g1(1.0),)),
-            MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.4), (g1(2.0), g1(3.0))),
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (g1(0.0),)),
+            MdGlmbHypothesis((L2,), math.log(0.1), (g1(1.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.4), (g1(2.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         pred = mdglmb_predict(d, motion_1d(ps), BirthModel.empty(), k=1, max_hypotheses=8)
@@ -135,18 +134,18 @@ class TestMdglmbPredict:
             for sup, w in weights.items():
                 if set(labels) <= set(sup):
                     expect += ps ** len(labels) * (1 - ps) ** (len(sup) - len(labels)) * w
-            got = math.exp(pred.hypothesis(LabelSet(labels)).log_weight)
+            got = math.exp(pred.hypothesis(labels).log_weight)
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_predicted_pdf_mixes_over_superset_hypotheses(self):
         ps = 0.5
         hyps = [
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.5), (g1(0.0),)),
-            MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (g1(10.0), g1(3.0))),
+            MdGlmbHypothesis((L1,), math.log(0.5), (g1(0.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.5), (g1(10.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         pred = mdglmb_predict(d, MotionModel(np.eye(1), [[1e-9]], ps), BirthModel.empty(), k=1, max_hypotheses=8)
-        h = pred.hypothesis(LabelSet((L1,)))
+        h = pred.hypothesis((L1,))
         # {L1} survivor set receives mass 0.5*ps from hypothesis {L1} and
         # 0.5*ps*(1-ps) from {L1,L2}; pdf mean mixes 0 and 10 accordingly
         w_a, w_b = 0.5 * ps, 0.5 * ps * (1 - ps)
@@ -158,6 +157,54 @@ class TestMdglmbPredict:
         assert len(pred) == 8
         total = sum(math.exp(h.log_weight) for h in pred.hypotheses)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("max_hypotheses", [1, 3, 50])
+    @pytest.mark.parametrize("prior", ["empty", "three_labels"])
+    def test_stopping_early_matches_building_all(self, max_hypotheses, prior):
+        # equal birth existences tie many (survivor, birth) pairs at the
+        # truncation boundary, as do the equal prior weights
+        if prior == "empty":
+            d = MdGlmbDensity.empty()
+        else:
+            d = MdGlmbDensity.from_unnormalized([
+                MdGlmbHypothesis((), math.log(0.1), ()),
+                MdGlmbHypothesis((L1,), math.log(0.2), (g1(0.0),)),
+                MdGlmbHypothesis((L2,), math.log(0.2), (g1(1.0),)),
+                MdGlmbHypothesis((L1, L2), math.log(0.25), (g1(2.0), g1(3.0, 2.0))),
+                MdGlmbHypothesis((L1, L3), math.log(0.25), (g1(4.0), g1(5.0))),
+            ])
+        birth = BirthModel(tuple(BirthEntry(i, 0.2, g1(10.0 * i)) for i in range(1, 7)))
+        got = mdglmb_predict(d, motion_1d(0.9), birth, 2, max_hypotheses)
+        want = mdglmb_predict_build_all(d, motion_1d(0.9), birth, 2, max_hypotheses)
+        assert len(got) == len(want) == min(max_hypotheses, 320 if prior == "three_labels" else 64)
+        assert_same_density(got, want)
+
+    @pytest.mark.parametrize("max_hypotheses", [1, 2, 3, 4])
+    def test_stopping_early_keeps_boundary_ties(self, max_hypotheses):
+        # survival probability and birth existences are equal, so the
+        # survivor and birth subset weights are the same list and pairs (i, j)
+        # and (j, i) tie exactly; the heap pops ({}, {(2, 1)}) before
+        # ({L1}, {}), whose label set sorts first, so a cut at 2 must look
+        # past the pair it would stop at
+        d = MdGlmbDensity.from_unnormalized([MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0), g1(1.0)))])
+        birth = BirthModel((BirthEntry(1, 0.2, g1(10.0)), BirthEntry(2, 0.2, g1(20.0))))
+        got = mdglmb_predict(d, motion_1d(0.2), birth, 2, max_hypotheses)
+        want = mdglmb_predict_build_all(d, motion_1d(0.2), birth, 2, max_hypotheses)
+        if max_hypotheses == 2:
+            assert [h.label_set for h in got.hypotheses] == [(), (L1,)]
+        assert_same_density(got, want)
+
+
+def assert_same_density(got, want):
+    """Equal label sets and log weights, and pdfs equal bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got.hypotheses, want.hypotheses):
+        assert a.label_set == b.label_set
+        assert a.log_weight == b.log_weight
+        assert len(a.pdfs) == len(b.pdfs)
+        for p, q in zip(a.pdfs, b.pdfs):
+            for x, y in ((p.log_w, q.log_w), (p.means, q.means), (p.covs, q.covs)):
+                assert x.tobytes() == y.tobytes()
 
 
 def psi_bar(track_pdf, z_index, Z, sensor):
@@ -318,22 +365,22 @@ class TestMdglmbUpdate:
     def test_empty_measurements_reweights_by_misdetection(self):
         sensor = linear_px_sensor(detection_prob=0.9)
         hyps = [
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.5), (g4(0.0, 0.0),)),
+            MdGlmbHypothesis((), math.log(0.5), ()),
+            MdGlmbHypothesis((L1,), math.log(0.5), (g4(0.0, 0.0),)),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         cfg = FilterConfig()
         post = mdglmb_update(d, [], sensor, cfg, UpdateDiagnostics())
         # weights 0.5 : 0.5*0.1, renormalized; ranking shifts toward the empty set
-        w0 = math.exp(post.hypothesis(EMPTY_LABEL_SET).log_weight)
-        w1 = math.exp(post.hypothesis(LabelSet((L1,))).log_weight)
+        w0 = math.exp(post.hypothesis(()).log_weight)
+        w1 = math.exp(post.hypothesis((L1,)).log_weight)
         assert w0 == pytest.approx(0.5 / 0.55, abs=1e-12)
         assert w1 == pytest.approx(0.05 / 0.55, abs=1e-12)
 
     def test_single_track_single_measurement_hand_ratio(self):
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=2.0, detection_prob=0.99, space=(-50.0, 50.0))
         pdf = g4(0.0, 0.0, pos_var=4.0, vel_var=1.0)
-        d = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (pdf,)),))
+        d = MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (pdf,)),))
         z = 1.0
         post = mdglmb_update(d, [z], sensor, FilterConfig(gm_merge_thresh=0.0, gm_trunc_thresh=0.0), UpdateDiagnostics())
         # only hypothesis is {L1}; its pdf mixes the miss and hit branches.
@@ -343,7 +390,7 @@ class TestMdglmbUpdate:
         kappa = 2.0 / 100.0
         psi_miss = 0.01
         psi_hit = 0.99 * q / kappa
-        h = post.hypothesis(LabelSet((L1,)))
+        h = post.hypothesis((L1,))
         assert math.exp(h.log_weight) == pytest.approx(1.0, abs=1e-12)
         # mixture splits between prior (miss) and updated (hit) components
         w = np.exp(h.pdfs[0].log_w)
@@ -354,9 +401,9 @@ class TestMdglmbUpdate:
     def test_two_tracks_two_measurements_vs_enumeration(self, monkeypatch):
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=3.0, detection_prob=0.9, space=(-60.0, 60.0))
         hyps = [
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (g4(-5.0, 0.0, pos_var=4.0),)),
-            MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (g4(-5.0, 0.0, pos_var=4.0), g4(6.0, 0.0, pos_var=9.0))),
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (g4(-5.0, 0.0, pos_var=4.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.5), (g4(-5.0, 0.0, pos_var=4.0), g4(6.0, 0.0, pos_var=9.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-4.0, 7.0]
@@ -371,8 +418,8 @@ class TestMdglmbUpdate:
     def test_ranked_equals_exhaustive_with_large_k(self, monkeypatch):
         sensor = linear_px_sensor(noise_std=1.5, clutter_rate=2.0, detection_prob=0.85, space=(-60.0, 60.0))
         hyps = [
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.4), (g4(-3.0, 0.0, pos_var=4.0),)),
-            MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.6), (g4(-3.0, 0.0, pos_var=4.0), g4(4.0, 0.0, pos_var=4.0))),
+            MdGlmbHypothesis((L1,), math.log(0.4), (g4(-3.0, 0.0, pos_var=4.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.6), (g4(-3.0, 0.0, pos_var=4.0), g4(4.0, 0.0, pos_var=4.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-2.5, 3.5]
@@ -389,12 +436,12 @@ class TestMdglmbUpdate:
         sensor = linear_px_sensor(detection_prob=0.0, clutter_rate=0.0)
         pdf = g4(1.0, 2.0)
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.4), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.6), (pdf,)),
+            MdGlmbHypothesis((), math.log(0.4), ()),
+            MdGlmbHypothesis((L1,), math.log(0.6), (pdf,)),
         ])
         post = mdglmb_update(d, [], sensor, FilterConfig(), UpdateDiagnostics())
         assert np.allclose(cardinality_distribution_mdglmb(post), [0.4, 0.6], atol=1e-12)
-        assert np.allclose(post.hypothesis(LabelSet((L1,))).pdfs[0].means, pdf.means)
+        assert np.allclose(post.hypothesis((L1,)).pdfs[0].means, pdf.means)
 
 
 def rebuilt_update(predicted, Z, sensor, cfg):
@@ -421,7 +468,7 @@ def rebuilt_update(predicted, Z, sensor, cfg):
             mixed = _mix_contributions(contribs)
             pdfs.append(gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components))
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
-    hyps.sort(key=lambda h: (-h.log_weight, h.label_set.labels))
+    hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     return MdGlmbDensity.from_unnormalized(hyps)
 
 
@@ -433,11 +480,11 @@ class TestUpdateMemo:
         sensor = linear_px_sensor(noise_std=1.0, clutter_rate=3.0, detection_prob=0.9, space=(-60.0, 60.0))
         shared, other = g4(-5.0, 0.0, pos_var=4.0), g4(6.0, 0.0, pos_var=9.0)
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.1), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.2), (shared,)),
-            MdGlmbHypothesis(LabelSet((L2,)), math.log(0.2), (shared,)),
-            MdGlmbHypothesis(LabelSet((L1, L3)), math.log(0.25), (shared, other)),
-            MdGlmbHypothesis(LabelSet((L2, L3)), math.log(0.25), (shared, other)),
+            MdGlmbHypothesis((), math.log(0.1), ()),
+            MdGlmbHypothesis((L1,), math.log(0.2), (shared,)),
+            MdGlmbHypothesis((L2,), math.log(0.2), (shared,)),
+            MdGlmbHypothesis((L1, L3), math.log(0.25), (shared, other)),
+            MdGlmbHypothesis((L2, L3), math.log(0.25), (shared, other)),
         ])
         Z = [-4.0, 7.0]
         cfg = FilterConfig()
@@ -475,7 +522,7 @@ class TestLmbPredict:
         pred = lmb_predict(LmbDensity.empty(), motion_1d(), birth, k=4)
         assert len(pred) == 10
         assert all(e.existence == pytest.approx(0.09) for e in pred.entries)
-        assert all(e.label.birth_time == 4 for e in pred.entries)
+        assert pred.labels == tuple((4, i) for i in range(1, 11))
 
 
 class TestLmbUpdate:
@@ -521,15 +568,15 @@ class TestLmbUpdate:
 class TestExtraction:
     def test_mdglmb_map_cardinality_zero(self):
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.7), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (g1(0.0),)),
+            MdGlmbHypothesis((), math.log(0.7), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (g1(0.0),)),
         ])
         assert extract_estimates_mdglmb(d) == []
 
     def test_mdglmb_single_object(self):
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.8), (g1(3.0),)),
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.8), (g1(3.0),)),
         ])
         est = extract_estimates_mdglmb(d)
         assert len(est) == 1
@@ -538,8 +585,8 @@ class TestExtraction:
 
     def test_mdglmb_tie_breaks_lexicographically(self):
         d = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(LabelSet((L2,)), math.log(0.5), (g1(2.0),)),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.5), (g1(1.0),)),
+            MdGlmbHypothesis((L2,), math.log(0.5), (g1(2.0),)),
+            MdGlmbHypothesis((L1,), math.log(0.5), (g1(1.0),)),
         ])
         est = extract_estimates_mdglmb(d)
         assert est[0][0] == L1
@@ -597,9 +644,9 @@ class TestCentralized:
         Z = [0.3]
         one = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg, UpdateDiagnostics())
         two = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z), (sensor, Z)], cfg, UpdateDiagnostics())
-        lab = Label(0, 1)
-        h1 = one.hypothesis(LabelSet((lab,)))
-        h2 = two.hypothesis(LabelSet((lab,)))
+        lab = (0, 1)
+        h1 = one.hypothesis((lab,))
+        h2 = two.hypothesis((lab,))
         t1 = np.trace(gm_covariance(h1.pdfs[0]))
         t2 = np.trace(gm_covariance(h2.pdfs[0]))
         assert t2 < t1

@@ -12,12 +12,11 @@ from distmot.densities import (
 from distmot.filters import FilterConfig, reduce_lmb_pdfs, reduce_mdglmb_pdfs
 from distmot.fusion import FusionDegenerateWarning, consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.network import NetworkGraph, metropolis_weights
 from reference import gm_covariance, gm_mean
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 
-L1, L2 = Label(0, 1), Label(0, 2)
+L1, L2 = (0, 1), (0, 2)
 CFG = FilterConfig()
 
 
@@ -26,7 +25,7 @@ def g1(mean, var=1.0):
 
 
 def single_hyp_density(gaussian):
-    return MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (GaussianMixture.single(gaussian),)),))
+    return MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (GaussianMixture.single(gaussian),)),))
 
 
 def random_gaussian(rng, d=4):
@@ -37,11 +36,11 @@ def random_gaussian(rng, d=4):
 def two_label_scalar_density(rng):
     w = rng.dirichlet(np.ones(4))
     hyps = [
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(w[0]), ()),
-        MdGlmbHypothesis(LabelSet((L1,)), math.log(w[1]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
-        MdGlmbHypothesis(LabelSet((L2,)), math.log(w[2]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
+        MdGlmbHypothesis((), math.log(w[0]), ()),
+        MdGlmbHypothesis((L1,), math.log(w[1]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
+        MdGlmbHypothesis((L2,), math.log(w[2]), (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)),)),
         MdGlmbHypothesis(
-            LabelSet((L1, L2)),
+            (L1, L2),
             math.log(w[3]),
             (g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0)), g1(rng.normal(scale=2.0), rng.uniform(0.5, 2.0))),
         ),
@@ -69,22 +68,22 @@ class TestFuseMdglmb:
 
     def test_intersection_only_common_hypotheses(self):
         a = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-            MdGlmbHypothesis(LabelSet((L1,)), math.log(0.5), (g1(0.0),)),
+            MdGlmbHypothesis((), math.log(0.5), ()),
+            MdGlmbHypothesis((L1,), math.log(0.5), (g1(0.0),)),
         ])
         b = MdGlmbDensity.from_unnormalized([
-            MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.5), ()),
-            MdGlmbHypothesis(LabelSet((L2,)), math.log(0.5), (g1(1.0),)),
+            MdGlmbHypothesis((), math.log(0.5), ()),
+            MdGlmbHypothesis((L2,), math.log(0.5), (g1(1.0),)),
         ])
         fused = fuse_mdglmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
-        assert [h.label_set for h in fused.hypotheses] == [EMPTY_LABEL_SET]
+        assert [h.label_set for h in fused.hypotheses] == [()]
 
     def test_empty_intersection_falls_back_with_warning(self):
-        a = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L1,)), 0.0, (g1(0.0),)),))
-        b = MdGlmbDensity((MdGlmbHypothesis(LabelSet((L2,)), 0.0, (g1(1.0),)),))
+        a = MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (g1(0.0),)),))
+        b = MdGlmbDensity((MdGlmbHypothesis((L2,), 0.0, (g1(1.0),)),))
         with pytest.warns(FusionDegenerateWarning):
             fused = fuse_mdglmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
-        assert [h.label_set for h in fused.hypotheses] == [EMPTY_LABEL_SET]
+        assert [h.label_set for h in fused.hypotheses] == [()]
 
     def test_matches_set_integral_oracle(self):
         # direct grid evaluation of the normalized weighted geometric mean
@@ -100,11 +99,11 @@ class TestFuseMdglmb:
             masses[labels] = subset_integral(ev, labels, grid)
         total = sum(masses.values())
         for labels, mass in masses.items():
-            got = math.exp(fused.hypothesis(LabelSet(labels)).log_weight)
+            got = math.exp(fused.hypothesis(labels).log_weight)
             assert got == pytest.approx(mass / total, rel=1e-3)
         # pdf moments against grid moments for the 2-label hypothesis
         _, means, variances = subset_moments(ev, (L1, L2), grid)
-        h = fused.hypothesis(LabelSet((L1, L2)))
+        h = fused.hypothesis((L1, L2))
         for i in range(2):
             assert gm_mean(h.pdfs[i])[0] == pytest.approx(means[i], rel=1e-3, abs=1e-6)
             assert gm_covariance(h.pdfs[i])[0, 0] == pytest.approx(variances[i], rel=1e-3)
@@ -223,9 +222,9 @@ class TestConsensusRun:
             fuse, reduce = fuse_mdglmb, reduce_mdglmb_pdfs
             densities = [
                 MdGlmbDensity.from_unnormalized([
-                    MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-                    MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (scalar_mixture(rng, 3),)),
-                    MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.5), (scalar_mixture(rng, 2), scalar_mixture(rng, 3))),
+                    MdGlmbHypothesis((), math.log(0.2), ()),
+                    MdGlmbHypothesis((L1,), math.log(0.3), (scalar_mixture(rng, 3),)),
+                    MdGlmbHypothesis((L1, L2), math.log(0.5), (scalar_mixture(rng, 2), scalar_mixture(rng, 3))),
                 ])
                 for _ in g.nodes
             ]

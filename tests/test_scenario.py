@@ -103,7 +103,7 @@ def test_constant_velocity_truth():
         (lab, state), = truth[k]
         assert state[0] == pytest.approx(1000.0 + 10.0 * 5.0 * k)
         assert state[2] == pytest.approx(2000.0 - 5.0 * 5.0 * k)
-        assert lab.birth_time == 0 and lab.index == 1
+        assert lab == (0, 1)
 
 
 def test_death_removes_object():
@@ -148,7 +148,7 @@ def test_labels_distinct_within_birth_step():
     ]
     s = scenario_from_dict(doc, "test")
     truth = generate_truth(s)
-    labs = [lab.as_pair() for lab, _ in truth[3]]
+    labs = [lab for lab, _ in truth[3]]
     assert labs == [(3, 1), (3, 2)]
 
 
@@ -197,6 +197,33 @@ def test_filter_value_out_of_range_rejected(field, value):
     doc = copy.deepcopy(MINIMAL)
     doc["filter"] = {field: value}
     with pytest.raises(ScenarioError, match=rf"filter\.{field}: {re.escape(repr(value))} is not"):
+        scenario_from_dict(doc, "test")
+
+
+NULLABLE_SECTIONS = [
+    "filter", "area",
+    "birth", "birth.locations", "birth.cov_diag",
+    "graph", "graph.edges",
+    "sensors", "sensors[0]", "sensors[0].position",
+    "trajectories", "trajectories[0]", "trajectories[0].state", "trajectories[0].velocity_changes",
+]
+
+
+@pytest.mark.parametrize("path", NULLABLE_SECTIONS)
+def test_null_section_rejected(path):
+    # a section present but empty in YAML reads as null
+    doc = copy.deepcopy(MINIMAL)
+    doc["filter"] = {"max_hypotheses": 10}
+    doc["trajectories"] = [
+        {"birth": 1, "death": 5, "state": [2000.0, 10.0, 2000.0, 0.0], "velocity_changes": [[3, 0.0, 10.0]]}
+    ]
+    scenario_from_dict(copy.deepcopy(doc), "test")
+    *parents, last = re.findall(r"\w+", path)
+    node = doc
+    for key in parents:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[int(last) if last.isdigit() else last] = None
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: expected a (mapping|list), got None$"):
         scenario_from_dict(doc, "test")
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, symmetrize
-from distmot.labels import Label
 from distmot.sensors import (
     DegenerateGeometryError,
     angle_residual,
@@ -160,7 +159,7 @@ class TestSimulate:
     def test_no_detection_no_clutter(self):
         s = make_toa((0.0, 0.0), clutter_rate=0.0, detection_prob=0.0)
         rng = np.random.default_rng(0)
-        truth = [(Label(0, 1), state(1000.0, 2000.0))]
+        truth = [((0, 1), state(1000.0, 2000.0))]
         for _ in range(20):
             assert simulate_measurements(truth, s, rng).size == 0
 
@@ -175,7 +174,7 @@ class TestSimulate:
     def test_detection_statistics(self):
         s = make_toa((0.0, 0.0), clutter_rate=0.0, detection_prob=0.99)
         rng = np.random.default_rng(7)
-        truth = [(Label(0, i + 1), state(1000.0 * (i + 1), 500.0)) for i in range(5)]
+        truth = [((0, i + 1), state(1000.0 * (i + 1), 500.0)) for i in range(5)]
         counts = [simulate_measurements(truth, s, rng).size for _ in range(10_000)]
         mean = np.mean(counts)
         se = math.sqrt(5 * 0.99 * 0.01 / 10_000)
@@ -183,7 +182,7 @@ class TestSimulate:
 
     def test_reproducible_bit_exact(self):
         s = make_doa((0.0, 0.0), clutter_rate=3.0, detection_prob=0.9)
-        truth = [(Label(0, 1), state(1000.0, 2000.0))]
+        truth = [((0, 1), state(1000.0, 2000.0))]
         a = simulate_measurements(truth, s, np.random.default_rng(123))
         b = simulate_measurements(truth, s, np.random.default_rng(123))
         assert np.array_equal(a, b)
@@ -191,7 +190,7 @@ class TestSimulate:
     def test_doa_measurements_in_space(self):
         s = make_doa((0.0, 0.0), clutter_rate=10.0, detection_prob=1.0)
         rng = np.random.default_rng(5)
-        truth = [(Label(0, 1), state(-1000.0, 1.0))]  # near the seam
+        truth = [((0, 1), state(-1000.0, 1.0))]  # near the seam
         for _ in range(50):
             zs = simulate_measurements(truth, s, rng)
             assert ((zs > -math.pi) & (zs <= math.pi)).all()

@@ -10,7 +10,6 @@ from distmot.densities import (
     MdGlmbHypothesis,
 )
 from distmot.gm import Gaussian, GaussianMixture
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from reference import gm_pdf
 from set_integral import (
     geometric_mean_evaluator,
@@ -20,7 +19,7 @@ from set_integral import (
     subset_integral,
 )
 
-L1, L2 = Label(0, 1), Label(0, 2)
+L1, L2 = (0, 1), (0, 2)
 GRID = np.linspace(-25.0, 25.0, 1501)
 
 
@@ -36,10 +35,10 @@ def test_lmb_single_label_integrates_to_one():
 
 def test_mdglmb_two_labels_integrates_to_one():
     hyps = [
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.2), ()),
-        MdGlmbHypothesis(LabelSet((L1,)), math.log(0.3), (g1(-2.0),)),
-        MdGlmbHypothesis(LabelSet((L2,)), math.log(0.1), (g1(3.0, 2.0),)),
-        MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.4), (g1(0.0), g1(4.0))),
+        MdGlmbHypothesis((), math.log(0.2), ()),
+        MdGlmbHypothesis((L1,), math.log(0.3), (g1(-2.0),)),
+        MdGlmbHypothesis((L2,), math.log(0.1), (g1(3.0, 2.0),)),
+        MdGlmbHypothesis((L1, L2), math.log(0.4), (g1(0.0), g1(4.0))),
     ]
     d = MdGlmbDensity.from_unnormalized(hyps)
     total = set_integral(mdglmb_evaluator(d), [L1, L2], GRID)

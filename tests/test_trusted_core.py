@@ -82,5 +82,5 @@ def test_every_phase_yields_valid_densities(algorithm):
     extract = extract_estimates_lmb if lmb else extract_estimates_mdglmb
     trial = run_trial(s, algorithm, seed)
     for node, d in enumerate(densities):
-        got = [[list(lab.as_pair()), [float(v) for v in x]] for lab, x in extract(d)]
+        got = [[list(lab), [float(v) for v in x]] for lab, x in extract(d)]
         assert got == trial.estimates[node][STEPS - 1]

@@ -5,7 +5,6 @@ import pytest
 
 from distmot.densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis
 from distmot.gm import Gaussian
-from distmot.labels import EMPTY_LABEL_SET, Label, LabelSet
 from distmot.wire import (
     density_from_json,
     density_to_json,
@@ -14,7 +13,7 @@ from distmot.wire import (
 )
 from reference import gm_from_components
 
-L1, L2 = Label(2, 1), Label(3, 1)
+L1, L2 = (2, 1), (3, 1)
 
 
 def gm4(seed):
@@ -40,8 +39,8 @@ def test_lmb_round_trip():
 
 def test_mdglmb_round_trip():
     d = MdGlmbDensity.from_unnormalized([
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.4), ()),
-        MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.6), (gm4(2), gm4(3))),
+        MdGlmbHypothesis((), math.log(0.4), ()),
+        MdGlmbHypothesis((L1, L2), math.log(0.6), (gm4(2), gm4(3))),
     ])
     back = density_from_json(density_to_json(d))
     assert isinstance(back, MdGlmbDensity)
@@ -68,8 +67,8 @@ def test_reference_byte_count_lmb():
 def test_reference_byte_count_mdglmb():
     # 4 * sum_I (1 + (4 + 10) * |I|)
     d = MdGlmbDensity.from_unnormalized([
-        MdGlmbHypothesis(EMPTY_LABEL_SET, math.log(0.4), ()),
-        MdGlmbHypothesis(LabelSet((L1, L2)), math.log(0.6), (gm4(2), gm4(3))),
+        MdGlmbHypothesis((), math.log(0.4), ()),
+        MdGlmbHypothesis((L1, L2), math.log(0.6), (gm4(2), gm4(3))),
     ])
     assert exchange_bytes_reference(d) == 4 * ((1 + 0) + (1 + 14 * 2))
 
