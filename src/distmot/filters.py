@@ -22,11 +22,12 @@ hypothesis's maps.
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
 hypothesis that can shrink onto it, weighted by the motion model's constant
-survival probability P_S. Survivor and birth subsets are paired best first,
-and a pair is built into a hypothesis only while it can still make the
-max_hypotheses cut; a survivor subset's mixtures are built when its first
-pair is. Labels are (birth step, index) tuples, so a predicted label set is
-the survivor subset followed by the birth subset.
+survival probability P_S, which does not depend on the state: a survivor's
+pdf is only Kalman-predicted. Survivor and birth subsets are paired best
+first, and a pair is built into a hypothesis only while it can still make
+the max_hypotheses cut; a survivor subset's mixtures are built when its
+first pair is. Labels are (birth step, index) tuples, so a predicted label
+set is the survivor subset followed by the birth subset.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .densities import (
     lmb_from_mdglmb,
     lmb_to_mdglmb,
 )
-from .gm import GaussianMixture, gm_key, gm_merge_prune_cap, logsumexp, symmetrize
+from .gm import GaussianMixture, gm_key, gm_merge_prune_cap, symmetrize
 from .sensors import SensorModel, unscented_update_mixture
 
 
@@ -122,10 +123,6 @@ class BirthModel:
                 if a.pdf.n_components == b.pdf.n_components and np.array_equal(a.pdf.means, b.pdf.means) and np.array_equal(a.pdf.covs, b.pdf.covs):
                     raise ValueError(f"birth pdfs for indices {a.index} and {b.index} coincide")
 
-    @classmethod
-    def empty(cls) -> "BirthModel":
-        return cls(())
-
     def labels_at(self, k: int) -> list[Label]:
         return [(k, e.index) for e in self.entries]
 
@@ -141,9 +138,7 @@ class FilterConfig:
     lmb_prune_thresh: float = 1e-4
 
 
-def _lse(values) -> float:
-    if isinstance(values, np.ndarray):
-        return float(logsumexp(values))
+def _lse(values: list[float]) -> float:
     if not values:
         return -math.inf
     m = max(values)
@@ -156,21 +151,6 @@ def kalman_predict_mixture(gm: GaussianMixture, motion: MotionModel) -> Gaussian
     f, q = motion.transition, motion.noise_cov
     covs = symmetrize(np.matmul(np.matmul(f, gm.covs), f.T)) + q
     return GaussianMixture._raw(gm.log_w.copy(), gm.means @ f.T, covs, gm.total_log_weight())
-
-
-def _survival_stats(pdf: GaussianMixture, motion: MotionModel):
-    """(per-component survival probabilities, overall P_S_bar)."""
-    s = np.full(pdf.n_components, float(motion.survival_prob))
-    w = np.exp(pdf.log_w - pdf.total_log_weight())
-    return s, float(w @ s)
-
-
-def _surviving_pdf(pdf: GaussianMixture, s: np.ndarray, ps_bar: float, motion: MotionModel) -> GaussianMixture:
-    with np.errstate(divide="ignore"):
-        log_w = pdf.log_w + np.log(s) - math.log(ps_bar)
-    keep = np.isfinite(log_w)
-    pred = kalman_predict_mixture(GaussianMixture._raw(log_w[keep], pdf.means[keep], pdf.covs[keep]), motion)
-    return pred
 
 
 def _mix_contributions(contribs: list[tuple[float, GaussianMixture]]) -> GaussianMixture:
@@ -208,13 +188,14 @@ def mdglmb_predict(
     """Survival/birth prediction of a marginalized delta-GLMB.
 
     Predicted label sets are unions of a birth subset and a survivor subset;
-    survivor weights sum the Bernoulli survival products over every prior
-    hypothesis containing the subset, and survivor pdfs mix the matching
-    Kalman-predicted pdfs. Survivor and birth subsets are each capped at
-    max(4 max_hypotheses, 64). Unions are drawn best first, at most
-    4 max_hypotheses of them, and only until max_hypotheses are held and
-    the next one is lighter than all of them; the output is truncated to
-    max_hypotheses and renormalized.
+    survivor weights sum the Bernoulli(P_S) survival products over every
+    prior hypothesis containing the subset, and survivor pdfs mix the
+    matching prior pdfs, each only Kalman-predicted. At P_S = 0 the only
+    survivor subset is the empty one, holding the summed prior weight.
+    Survivor and birth subsets are each capped at max(4 max_hypotheses, 64).
+    Unions are drawn best first, at most 4 max_hypotheses of them, and only
+    until max_hypotheses are held and the next one is lighter than all of
+    them; the output is truncated to max_hypotheses and renormalized.
     """
     birth_labels = birth.labels_at(k)
     posterior_labels = posterior.label_space()
@@ -230,14 +211,8 @@ def mdglmb_predict(
     surv_pdfs: dict[LabelSet, list[list[tuple[float, GaussianMixture]]]] = {}
     for h in posterior.hypotheses:
         labels = h.label_set
-        ps_bar = np.zeros(len(labels))
-        predicted: list[GaussianMixture | None] = [None] * len(labels)
-        for i, pdf in enumerate(h.pdfs):
-            s, pb = _survival_stats(pdf, motion)
-            ps_bar[i] = pb
-            if pb > 0.0:
-                predicted[i] = _surviving_pdf(pdf, s, pb, motion)
-        for idx, rel_logw in k_best_bernoulli_subsets(ps_bar, subset_cap):
+        predicted = [kalman_predict_mixture(pdf, motion) for pdf in h.pdfs]
+        for idx, rel_logw in k_best_bernoulli_subsets(np.full(len(labels), motion.survival_prob), subset_cap):
             key = tuple(labels[i] for i in idx)
             logw = h.log_weight + rel_logw
             surv_w.setdefault(key, []).append(logw)
@@ -314,27 +289,32 @@ class _PsiRow:
 class _PsiTable:
     """Per-update cache of psi rows keyed by track-pdf content.
 
-    A row's log psi comes from one batched unscented update against every
-    measurement and one log-sum-exp per measurement over the components,
-    taken row-wise on the transposed (m, n) detection matrix so that each
-    sum runs over one contiguous row, in the order a single-column sum
-    would. Conditioned pdfs are left to `_PsiRow.cond`, which builds each
-    on first use and keeps it, so most of them, for measurements no ranked
-    map selects, are never built.
+    P_D is the sensor's constant, so the miss score log psi[0] is exactly
+    log(1 - P_D) for every track, and log P_D and log(1 - P_D) are taken
+    once per table. A row's detection scores come from one batched
+    unscented update against every measurement and one log-sum-exp per
+    measurement over the components, taken row-wise on the transposed
+    (m, n) detection matrix so that each sum runs over one contiguous row,
+    in the order a single-column sum would. Conditioned pdfs are left to
+    `_PsiRow.cond`, which builds each on first use and keeps it, so most of
+    them, for measurements no ranked map selects, are never built.
     """
 
     def __init__(self, Z, sensor: SensorModel, diagnostics: UpdateDiagnostics):
         self.Z = np.asarray(Z, dtype=float)
         self.sensor = sensor
         self.diag = diagnostics
-        self.pd = sensor.detection_prob
+        # each -inf at its end of [0, 1]; numpy's log, which the detection
+        # scores have always used, can differ from math.log in the last bit
+        pd = sensor.detection_prob
+        self.log_pd = float(np.log(pd)) if pd > 0.0 else -math.inf
+        self.log_miss = math.log1p(-pd) if pd < 1.0 else -math.inf
         # filter-side clutter model: uniform density over the sensor's
-        # measurement space for every received z
+        # measurement space for every received z. In the kappa -> 0 limit a
+        # measurement no clutter can explain forces an association; kappa is
+        # kept at least 1e-30 so that the ratio stays finite and maps ordered
         lo, hi = sensor.measurement_space
-        self.log_kappa = np.full(self.Z.size, _safe_log(sensor.clutter_rate / (hi - lo)))
-        # kappa -> 0 limit: a measurement no clutter can explain forces an
-        # association; keep the ratio finite so map ranking stays ordered
-        np.maximum(self.log_kappa, math.log(1e-30), out=self.log_kappa)
+        self.log_kappa = np.full(self.Z.size, math.log(max(sensor.clutter_rate / (hi - lo), 1e-30)))
         self._rows: dict = {}
 
     def row(self, pdf: GaussianMixture) -> _PsiRow:
@@ -347,19 +327,14 @@ class _PsiTable:
     def _compute(self, pdf: GaussianMixture) -> _PsiRow:
         m = self.Z.size
         log_psi = np.empty(m + 1)
-        alpha = pdf.log_w - pdf.total_log_weight()
-        pd_vals = np.full(pdf.n_components, float(self.pd))
-
-        with np.errstate(divide="ignore"):
-            log_psi[0] = _lse(alpha + np.log1p(-pd_vals))
-
+        log_psi[0] = self.log_miss
         if not m:
             return _PsiRow(log_psi, pdf, None, None, None, None, None)
         ll, gain, resid, covs, ok = unscented_update_mixture(pdf, self.Z, self.sensor)
         if not ok.all():
             self.diag.dropped_components += int((~ok).sum())
-        with np.errstate(divide="ignore"):
-            log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll  # (n, m)
+        alpha = pdf.log_w - pdf.total_log_weight()
+        log_det = (alpha + self.log_pd)[:, None] + ll  # (n, m)
         per_z = np.ascontiguousarray(log_det.T)
         tot = per_z.max(axis=1, initial=-np.inf)
         live = np.isfinite(tot)
@@ -367,10 +342,6 @@ class _PsiTable:
         tot[live] += [math.log(s) for s in sums.tolist()]
         log_psi[1:] = tot - self.log_kappa
         return _PsiRow(log_psi, pdf, tot, log_det, gain, resid, covs)
-
-
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0 else -np.inf
 
 
 def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
@@ -480,13 +451,15 @@ def mdglmb_update(
 
 
 def lmb_predict(posterior: LmbDensity, motion: MotionModel, birth: BirthModel, k: int) -> LmbDensity:
-    """Survival-thinned, Kalman-predicted tracks plus fresh birth tracks."""
-    entries = []
-    for e in posterior.entries:
-        s, ps_bar = _survival_stats(e.pdf, motion)
-        if ps_bar <= 0.0:
-            continue
-        entries.append(LmbEntry(e.label, e.existence * ps_bar, _surviving_pdf(e.pdf, s, ps_bar, motion)))
+    """Surviving tracks plus fresh birth tracks.
+
+    A survivor keeps its label with existence r * P_S and its pdf only
+    Kalman-predicted; at P_S = 0 no track survives.
+    """
+    ps = motion.survival_prob
+    # P_S = 0 leaves no survivor, rather than survivors of existence 0
+    survivors = posterior.entries if ps > 0.0 else ()
+    entries = [LmbEntry(e.label, e.existence * ps, kalman_predict_mixture(e.pdf, motion)) for e in survivors]
     existing = {e.label for e in entries}
     for be, lab in zip(birth.entries, birth.labels_at(k)):
         if lab in existing:

@@ -85,9 +85,9 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    # imported here, not at module level: the step clock of perfbench patches
-    # distmot.sensors.simulate_measurements, which a name bound at import
-    # time would bypass
+    # imported here, not at module level: the step clock of perfbench and
+    # scripts/paper_cap_steps.py patch distmot.sensors.simulate_measurements,
+    # which a name bound at import time would bypass
     from distmot.sensors import simulate_measurements
 
     truth = generate_truth(scenario)

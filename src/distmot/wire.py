@@ -29,12 +29,13 @@ def _pdf_to_dict(pdf: GaussianMixture) -> dict:
     }
 
 
-def _pdf_from_dict(doc: dict) -> GaussianMixture:
-    lw = np.array(doc["log_weights"], dtype=float)
-    mu = np.array(doc["means"], dtype=float)
+def _pdf_from_dict(doc, where: str) -> GaussianMixture:
+    lw, mu, cv = (_numbers(doc, key, where) for key in ("log_weights", "means", "covariances"))
     d = mu.shape[1] if mu.ndim == 2 else 0
-    cv = np.array(doc["covariances"], dtype=float).reshape(-1, d, d)
-    return GaussianMixture(lw, mu, cv)
+    try:
+        return GaussianMixture(lw, mu, cv.reshape(-1, d, d))
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:
@@ -76,42 +77,67 @@ def _existence(r) -> float:
     return float(min(max(r, 0.0), 1.0)) if -1e-12 <= r <= 1.0 + 1e-12 else r
 
 
-def _label(value) -> Label:
+def _field(doc, key: str, where: str, kind: type = object):
+    """doc[key] of a JSON object, which must be a `kind`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not an object")
+    if key not in doc:
+        raise ValueError(f"{where} has no {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"{where}.{key} is not a {kind.__name__}")
+    return doc[key]
+
+
+def _numbers(doc, key: str, where: str, scalar: bool = False):
+    """A real number (an int or float, not a bool or a numeric string) if
+    scalar, else a list, possibly nested, of real numbers as a float array."""
+    value = _field(doc, key, where, object if scalar else list)
+    try:
+        a = np.array(value, dtype=object)
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a.flat) and not (scalar and a.ndim):
+            return float(a) if scalar else a.astype(float)
+    except (ValueError, OverflowError):  # ragged nesting, or an int beyond float range
+        pass
+    raise ValueError(f"{where}.{key} is not {'a number' if scalar else 'a list of numbers'}")
+
+
+def _label(value, where: str) -> Label:
     """The label a wire [k, i] pair names: integers (not bools), birth step
     k >= 0 and index i >= 1."""
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-        and value[0] >= 0
-        and value[1] >= 1
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value) and value[0] >= 0 and value[1] >= 1:
         return (value[0], value[1])
-    raise ValueError(f"label {value!r} is not a pair [k, i] of integers with k >= 0 and i >= 1")
+    raise ValueError(f"{where}: label {value!r} is not a pair [k, i] of integers with k >= 0 and i >= 1")
 
 
 def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
     """Decode and check a density document; the only way a density enters
-    from outside."""
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unknown schema {doc.get('schema')!r}")
-    if doc["kind"] == "lmb":
-        d = LmbDensity(
-            tuple(
-                LmbEntry(_label(e["label"]), _existence(e["existence"]), _pdf_from_dict(e["pdf"]))
-                for e in doc["entries"]
-            )
-        )
-    elif doc["kind"] == "mdglmb":
+    from outside. A malformed document raises a ValueError naming the field."""
+    if _field(doc, "schema", "document") != SCHEMA:
+        raise ValueError(f"unknown schema {doc['schema']!r}")
+    kind = _field(doc, "kind", "document")
+    if kind == "lmb":
+        entries = []
+        for i, e in enumerate(_field(doc, "entries", "document", list)):
+            w = f"entries[{i}]"
+            label, pdf = _label(_field(e, "label", w), w), _pdf_from_dict(_field(e, "pdf", w), f"{w}.pdf")
+            entries.append(LmbEntry(label, _existence(_numbers(e, "existence", w, scalar=True)), pdf))
+        d = LmbDensity(tuple(entries))
+    elif kind == "mdglmb":
         hyps = []
-        for h in doc["hypotheses"]:
-            labels = tuple(sorted(_label(l) for l in h["labels"]))
-            by_label = {_label(t["label"]): _pdf_from_dict(t["pdf"]) for t in h["tracks"]}
-            pdfs = tuple(by_label[l] for l in labels)
-            hyps.append(MdGlmbHypothesis(labels, h["log_weight"], pdfs))
+        for i, h in enumerate(_field(doc, "hypotheses", "document", list)):
+            w = f"hypotheses[{i}]"
+            labels = tuple(sorted(_label(l, f"{w}.labels") for l in _field(h, "labels", w, list)))
+            tracks = _field(h, "tracks", w, list)
+            by_label = {}
+            for j, t in enumerate(tracks):
+                tw = f"{w}.tracks[{j}]"
+                by_label[_label(_field(t, "label", tw), tw)] = _pdf_from_dict(_field(t, "pdf", tw), f"{tw}.pdf")
+            if len(tracks) != len(labels) or any(l not in by_label for l in labels):
+                raise ValueError(f"{w}.tracks do not hold one track for each label of {labels}")
+            hyps.append(MdGlmbHypothesis(labels, _numbers(h, "log_weight", w, scalar=True), tuple(by_label[l] for l in labels)))
         d = MdGlmbDensity(tuple(hyps))
     else:
-        raise ValueError(f"unknown density kind {doc['kind']!r}")
+        raise ValueError(f"unknown density kind {kind!r}")
     check_density(d)
     return d
 

@@ -275,7 +275,7 @@ def mdglmb_predict_build_all(
     build a hypothesis for each of the 4 max_hypotheses best (survivor,
     birth) pairs, sort them and keep max_hypotheses."""
     from distmot.densities import k_best_bernoulli_subsets
-    from distmot.filters import _k_best_products, _lse, _mix_contributions, _survival_stats, _surviving_pdf
+    from distmot.filters import _k_best_products, _lse, _mix_contributions, kalman_predict_mixture
 
     birth_labels = birth.labels_at(k)
     subset_cap = max(4 * max_hypotheses, 64)
@@ -283,14 +283,8 @@ def mdglmb_predict_build_all(
     surv_pdfs: dict[LabelSet, dict[Label, list[tuple[float, GaussianMixture]]]] = {}
     for h in posterior.hypotheses:
         labels = h.label_set
-        ps_bar = np.zeros(len(labels))
-        predicted: list[GaussianMixture | None] = [None] * len(labels)
-        for i, pdf in enumerate(h.pdfs):
-            s, pb = _survival_stats(pdf, motion)
-            ps_bar[i] = pb
-            if pb > 0.0:
-                predicted[i] = _surviving_pdf(pdf, s, pb, motion)
-        for idx, rel_logw in k_best_bernoulli_subsets(ps_bar, subset_cap):
+        predicted = [kalman_predict_mixture(pdf, motion) for pdf in h.pdfs]
+        for idx, rel_logw in k_best_bernoulli_subsets(np.full(len(labels), motion.survival_prob), subset_cap):
             key = tuple(labels[i] for i in idx)
             logw = h.log_weight + rel_logw
             surv_w.setdefault(key, []).append(logw)

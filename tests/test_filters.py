@@ -34,7 +34,7 @@ from distmot.filters import (
 )
 from distmot.assignment import ranked_assignments
 from distmot.filters import _lse, _mix_contributions, _PsiTable
-from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap
+from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap, logsumexp
 from distmot.sensors import unscented_update_mixture
 from reference import gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all
 from test_assignment import exhaustive_assignments
@@ -110,7 +110,7 @@ class TestMdglmbPredict:
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         motion = MotionModel(np.eye(1) * 2.0, [[0.5]], 1.0)
-        pred = mdglmb_predict(d, motion, BirthModel.empty(), k=1, max_hypotheses=8)
+        pred = mdglmb_predict(d, motion, BirthModel(()), k=1, max_hypotheses=8)
         assert np.allclose(cardinality_distribution_mdglmb(pred), [0.3, 0.7])
         h = pred.hypothesis((L1,))
         assert np.allclose(h.pdfs[0].means, [[4.0]])  # Kalman-predicted mean 2*2
@@ -125,7 +125,7 @@ class TestMdglmbPredict:
             MdGlmbHypothesis((L1, L2), math.log(0.4), (g1(2.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
-        pred = mdglmb_predict(d, motion_1d(ps), BirthModel.empty(), k=1, max_hypotheses=8)
+        pred = mdglmb_predict(d, motion_1d(ps), BirthModel(()), k=1, max_hypotheses=8)
 
         # oracle: w(L) = ps^|L| * sum_{J >= L} (1-ps)^(|J|-|L|) w(J)
         weights = {(): 0.2, (L1,): 0.3, (L2,): 0.1, (L1, L2): 0.4}
@@ -144,7 +144,7 @@ class TestMdglmbPredict:
             MdGlmbHypothesis((L1, L2), math.log(0.5), (g1(10.0), g1(3.0))),
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
-        pred = mdglmb_predict(d, MotionModel(np.eye(1), [[1e-9]], ps), BirthModel.empty(), k=1, max_hypotheses=8)
+        pred = mdglmb_predict(d, MotionModel(np.eye(1), [[1e-9]], ps), BirthModel(()), k=1, max_hypotheses=8)
         h = pred.hypothesis((L1,))
         # {L1} survivor set receives mass 0.5*ps from hypothesis {L1} and
         # 0.5*ps*(1-ps) from {L1,L2}; pdf mean mixes 0 and 10 accordingly
@@ -194,6 +194,45 @@ class TestMdglmbPredict:
             assert [h.label_set for h in got.hypotheses] == [(), (L1,)]
         assert_same_density(got, want)
 
+    def test_survivor_pdf_is_kalman_prediction(self):
+        # P_S is constant, so survival re-weights no component: the survivor
+        # pdf of a multi-component track is its Kalman prediction, bit for bit
+        motion = ncv_motion_model(5.0, 5.0, 0.9)
+        pdf = random_track_pdf(np.random.default_rng(2), 5).normalized()
+        d = MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (pdf,)),))
+        got = mdglmb_predict(d, motion, BirthModel(()), k=1, max_hypotheses=8).hypothesis((L1,)).pdfs[0]
+        assert_same_pdf(got, kalman_predict_mixture(pdf, motion))
+
+    def test_zero_survival_keeps_only_births(self):
+        hyps = [
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (g1(0.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.5), (g1(2.0), g1(3.0))),
+        ]
+        d = MdGlmbDensity.from_unnormalized(hyps)
+        b1, b2 = g1(10.0), g1(20.0)
+        birth = BirthModel((BirthEntry(1, 0.2, b1), BirthEntry(2, 0.6, b2)))
+        pred = mdglmb_predict(d, motion_1d(0.0), birth, k=2, max_hypotheses=8)
+        # the empty survivor set holds the summed prior weight 1, so the
+        # hypotheses are the birth subsets with their Bernoulli weights
+        want = {
+            (): 0.8 * 0.4,
+            ((2, 1),): 0.2 * 0.4,
+            ((2, 2),): 0.8 * 0.6,
+            ((2, 1), (2, 2)): 0.2 * 0.6,
+        }
+        assert {h.label_set for h in pred.hypotheses} == set(want)
+        for h in pred.hypotheses:
+            assert math.exp(h.log_weight) == pytest.approx(want[h.label_set], abs=1e-12)
+        both = pred.hypothesis(((2, 1), (2, 2)))
+        assert both.pdfs[0] is b1 and both.pdfs[1] is b2
+
+
+def assert_same_pdf(got, want):
+    """Equal log weights, means and covariances, bit for bit."""
+    for x, y in ((got.log_w, want.log_w), (got.means, want.means), (got.covs, want.covs)):
+        assert x.tobytes() == y.tobytes()
+
 
 def assert_same_density(got, want):
     """Equal label sets and log weights, and pdfs equal bit for bit."""
@@ -224,16 +263,15 @@ def eager_psi_row(table, pdf):
     log_psi = np.empty(m + 1)
     cond = [pdf] * (m + 1)
     alpha = pdf.log_w - pdf.total_log_weight()
-    pd_vals = np.full(pdf.n_components, float(table.pd))
-    with np.errstate(divide="ignore"):
-        log_psi[0] = _lse(alpha + np.log1p(-pd_vals))
+    pd = table.sensor.detection_prob
+    log_psi[0] = math.log1p(-pd) if pd < 1.0 else -np.inf
     if m:
         ll, gain, resid, covs, _ = unscented_update_mixture(pdf, table.Z, table.sensor)
         mus = pdf.means[:, None, :] + gain[:, None, :] * resid[:, :, None]
         with np.errstate(divide="ignore"):
-            log_det = alpha[:, None] + np.log(pd_vals)[:, None] + ll
+            log_det = (alpha + np.log(pd))[:, None] + ll
         for j in range(m):
-            tot = _lse(log_det[:, j])
+            tot = float(logsumexp(log_det[:, j]))
             log_psi[j + 1] = tot - table.log_kappa[j]
             if np.isfinite(tot):
                 keep = np.isfinite(log_det[:, j])
@@ -321,6 +359,13 @@ class TestPsiBar:
         log_psi, cond = psi_bar(pdf, 0, [], sensor)
         assert log_psi == pytest.approx(math.log(0.3), abs=1e-12)
         assert cond is pdf
+
+    def test_miss_score_is_exactly_log_one_minus_pd(self):
+        # a multi-component track, whose normalized log weights do not sum
+        # back to exactly 0 in a log-sum-exp
+        pdf = random_track_pdf(np.random.default_rng(2), 5).normalized()
+        row = _PsiTable([100.0], make_toa((0.0, 0.0), detection_prob=0.8), UpdateDiagnostics()).row(pdf)
+        assert row.log_psi[0] == math.log1p(-0.8)
 
     def test_certain_detection_misdetect_impossible(self):
         sensor = linear_px_sensor(detection_prob=1.0)
@@ -514,8 +559,22 @@ class TestUpdateMemo:
 class TestLmbPredict:
     def test_constant_survival_scales_existence(self):
         d = LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),))
-        pred = lmb_predict(d, motion_1d(0.99), BirthModel.empty(), k=1)
+        pred = lmb_predict(d, motion_1d(0.99), BirthModel(()), k=1)
         assert pred.entry(L1).existence == pytest.approx(0.495, abs=1e-12)
+
+    def test_survivor_is_kalman_prediction_with_existence_r_ps(self):
+        motion = ncv_motion_model(5.0, 5.0, 0.9)
+        pdf = random_track_pdf(np.random.default_rng(2), 5).normalized()
+        pred = lmb_predict(LmbDensity((LmbEntry(L1, 0.6, pdf),)), motion, BirthModel(()), k=1)
+        assert pred.entry(L1).existence == 0.6 * 0.9
+        assert_same_pdf(pred.entry(L1).pdf, kalman_predict_mixture(pdf, motion))
+
+    def test_zero_survival_drops_every_survivor(self):
+        d = LmbDensity((LmbEntry(L1, 0.5, g1(0.0)), LmbEntry(L2, 1.0, g1(1.0))))
+        birth = BirthModel((BirthEntry(1, 0.09, g1(5.0)),))
+        pred = lmb_predict(d, motion_1d(0.0), birth, k=1)
+        assert pred.labels == ((1, 1),)
+        assert pred.entry((1, 1)).existence == 0.09
 
     def test_empty_posterior_paper_birth_table(self):
         birth = BirthModel(tuple(BirthEntry(i, 0.09, g1(float(i) * 10.0)) for i in range(1, 11)))
