@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Count the steps of a paper-cap trial that finish within a time budget.
 
-Runs trial 0 of a bundled scenario, `paper_highsnr` unless --scenario
-names another, at the scenario's own caps (3000 hypotheses and 50 maps for
-`paper_highsnr`) with consensus-mdglmb and the trial seed
+Runs trial 0 of `paper_highsnr` at the scenario's own caps (3000
+hypotheses, 50 maps) with consensus-mdglmb and the trial seed
 `trial_seed_for(scenario.seed, 0)`, and prints how many of its steps
 finished within --seconds:
 
     python3 scripts/paper_cap_steps.py --seconds 600
-    28 of 200 steps of paper_highsnr (consensus-mdglmb, trial 0) in 600 s
+    N of 200 steps of paper_highsnr (consensus-mdglmb, trial 0) in 600 s
 
 The trial runs in a child process. A step begins when the trial simulates
 its first sensor scan and has finished once the next step begins or the
@@ -80,11 +79,10 @@ def steps_within(scenario, seconds: float) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seconds", type=float, required=True, help="time budget from the start of the trial")
-    ap.add_argument("--scenario", default="paper_highsnr", help="bundled scenario name or YAML path")
     args = ap.parse_args()
     # a terminated script still stops its trial, through the finally of steps_within
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
-    scenario = load_scenario(args.scenario)
+    scenario = load_scenario("paper_highsnr")
     done = steps_within(scenario, args.seconds)
     print(f"{done} of {scenario.steps} steps of {scenario.name} ({ALGORITHM}, trial 0) in {args.seconds:g} s")
     return 0
