@@ -29,7 +29,7 @@ def main() -> int:
     ap.add_argument("--algorithms", nargs="+", default=list(ALGORITHMS), choices=ALGORITHMS)
     ap.add_argument("--consensus-steps", nargs="+", type=int, default=[1, 3])
     ap.add_argument("--trials", type=int, default=None, help="override the scenario's trial count")
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ALGORITHMS, resolve_workers, run_experiment
+from .harness import ALGORITHMS, run_experiment
 from .scenario import ScenarioError, load_scenario, with_overrides
 
 EXIT_VALIDATION = 2
@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
     )
     avg = result.network_averaged()
     print(f"scenario {result.scenario_name}, algorithm {result.algorithm}, {result.trials} trials")
-    print(f"wall time {result.wall_time:.1f} s with {resolve_workers(args.workers)} worker(s)")
+    print(f"wall time {result.wall_time:.1f} s with {args.workers} worker(s)")
     print(f"mean OSPA {result.mean_ospa():.1f} m, mean cardinality error {result.mean_cardinality_error():.3f}")
     print(f"exchanged bytes: reference {result.bytes_reference}, serialized {result.bytes_actual}")
     if result.dropped_components:
@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--consensus-steps", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None, help="directory for per-node and network CSV output")
-    run.add_argument("--workers", type=int, default=None,
-                     help=f"concurrent trial workers (default from $DISTMOT_WORKERS, then 1)")
+    run.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
     run.set_defaults(fn=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a scenario file")

@@ -209,10 +209,15 @@ def mdglmb_predict(
     surv_w: dict[LabelSet, list[float]] = {}
     # per subset, one contribution list per label, in label order
     surv_pdfs: dict[LabelSet, list[list[tuple[float, GaussianMixture]]]] = {}
+    # with a constant P_S the survivor subsets depend only on the label count
+    subsets: dict[int, list[tuple[tuple[int, ...], float]]] = {}
     for h in posterior.hypotheses:
         labels = h.label_set
         predicted = [kalman_predict_mixture(pdf, motion) for pdf in h.pdfs]
-        for idx, rel_logw in k_best_bernoulli_subsets(np.full(len(labels), motion.survival_prob), subset_cap):
+        n = len(labels)
+        if n not in subsets:
+            subsets[n] = k_best_bernoulli_subsets(np.full(n, motion.survival_prob), subset_cap)
+        for idx, rel_logw in subsets[n]:
             key = tuple(labels[i] for i in idx)
             logw = h.log_weight + rel_logw
             surv_w.setdefault(key, []).append(logw)

@@ -11,15 +11,17 @@ q_tilde = prod (1 - r_i)^{w_i} and r_tilde = eta * prod r_i^{w_i}.
 One consensus round, as each node runs it in the paper: fuse the
 in-neighbours' densities with the node's consensus weights, merging the
 fold accumulator at the filter's merge threshold, then reduce the fused
-mixtures. Fusion weights are taken as given: consensus weights enter
-through `network.ConsensusMatrix`, which checks that they are non-negative
-and that each row sums to 1.
+mixtures. Fusion weights are taken as given: they are the Metropolis
+weights that `network.metropolis_weights` computes from the graph checked
+at scenario load.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+
+import numpy as np
 
 from .densities import (
     LmbDensity,
@@ -29,7 +31,6 @@ from .densities import (
 )
 from .filters import FilterConfig, reduce_lmb_pdfs, reduce_mdglmb_pdfs
 from .gm import gm_chernoff_multi, gm_key
-from .network import ConsensusMatrix, NetworkGraph
 
 
 class FusionDegenerateWarning(UserWarning):
@@ -120,30 +121,25 @@ def fuse_lmb(
 
 def consensus_run(
     node_densities: list,
-    g: NetworkGraph,
-    omega: ConsensusMatrix,
+    omega: np.ndarray,
     cfg: FilterConfig,
 ) -> list:
-    """One synchronous consensus round: every node fuses its in-neighbours'
-    densities with its consensus-matrix weights, then reduces the mixtures.
+    """One synchronous consensus round: every node i fuses the densities of
+    its in-neighbours, the columns where row i of omega is positive, with
+    those weights, then reduces the mixtures.
 
     Densities are immutable snapshots, so every fusion reads the inputs.
     The density type (M-delta-GLMB or LMB) picks the fusion and reduction.
     Each fold accumulator is merged at cfg.gm_merge_thresh.
     """
-    if len(node_densities) != len(g.nodes):
-        raise ValueError("one density per graph node required")
-    if omega.nodes != tuple(g.nodes):
-        raise ValueError("consensus matrix node order does not match the graph")
     if isinstance(node_densities[0], MdGlmbDensity):
         fuse, reduce = fuse_mdglmb, reduce_mdglmb_pdfs
     elif isinstance(node_densities[0], LmbDensity):
         fuse, reduce = fuse_lmb, reduce_lmb_pdfs
     else:
         raise TypeError(f"cannot fuse densities of type {type(node_densities[0]).__name__}")
-    index = {node: i for i, node in enumerate(g.nodes)}
     out = []
-    for node in g.nodes:
-        pairs = [(node_densities[index[j]], omega.weight(node, j)) for j in g.in_neighbours(node)]
+    for row in omega.tolist():
+        pairs = [(d, w) for d, w in zip(node_densities, row, strict=True) if w > 0.0]
         out.append(reduce(fuse(pairs, cfg.gm_merge_thresh), cfg))
     return out

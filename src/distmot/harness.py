@@ -12,7 +12,6 @@ scheduling.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ ALGORITHMS = ("consensus-mdglmb", "consensus-lmb", "centralized-mdglmb")
 
 OSPA_CUTOFF = 600.0
 OSPA_ORDER = 2.0
-
-WORKERS_ENV = "DISTMOT_WORKERS"
 
 
 @dataclass
@@ -94,7 +91,6 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     motion = scenario.motion_model()
     birth = scenario.birth
     cfg = scenario.filter
-    graph = scenario.graph
     rngs = _sensor_rngs(trial_seed, len(scenario.sensors))
     diag = UpdateDiagnostics()
 
@@ -114,11 +110,11 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
 
     centralized = algorithm == "centralized-mdglmb"
     n_nodes = 1 if centralized else len(scenario.sensors)
-    # a graph without an edge has nothing to exchange: no consensus round
-    if centralized or not graph.arcs:
+    # a lone node has nothing to exchange: no consensus round
+    if n_nodes == 1:
         rounds, omega = 0, None
     else:
-        rounds, omega = scenario.consensus_steps, metropolis_weights(graph)
+        rounds, omega = scenario.consensus_steps, metropolis_weights(scenario.graph)
     densities = [empty() for _ in range(n_nodes)]
 
     est_card = [[0] * scenario.steps for _ in range(n_nodes)]
@@ -138,7 +134,7 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
                 for d in densities:
                     bytes_reference += exchange_bytes_reference(d)
                     bytes_actual += exchange_bytes_actual(d)
-                densities = consensus_run(densities, graph, omega, cfg)
+                densities = consensus_run(densities, omega, cfg)
         except FilterDegeneracyError as e:
             raise FilterDegeneracyError(f"step {k}, algorithm {algorithm}: {e}") from e
 
@@ -209,18 +205,10 @@ def _trial_job(args):
     return run_trial(*args)
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "0") or 0)
-    if workers <= 0:
-        workers = 1
-    return workers
-
-
 def run_experiment(
     scenario: Scenario,
     algorithm: str,
-    workers: int | None = None,
+    workers: int,
     out_dir: str | Path | None = None,
     keep_trials: bool = False,
 ) -> ExperimentResult:
@@ -229,7 +217,6 @@ def run_experiment(
     seeds = [trial_seed_for(scenario.seed, t) for t in range(n_trials)]
     jobs = [(scenario, algorithm, s) for s in seeds]
 
-    workers = resolve_workers(workers)
     start = time.perf_counter()
     if workers > 1 and n_trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -3,10 +3,11 @@
 JSON documents, schema "lrfs-density/1". Labels are [k, i] pairs of
 integers (birth step k >= 0, index i >= 1, checked on decode),
 hypothesis weights are log-weights, component covariances are row-major
-flat lists. Values are serialized in double precision; the reference byte
-accounting below assumes 4-byte floats with a single Gaussian per track
-(1 weight + 4 mean + 10 upper-triangle covariance entries per label), so
-both counts are reported by the harness.
+flat lists (positive definite, checked on decode). Values are serialized
+in double precision; the reference byte accounting below assumes 4-byte
+floats with a single Gaussian per track (1 weight + 4 mean + 10
+upper-triangle covariance entries per label), so both counts are reported
+by the harness.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import numpy as np
 
 from .densities import Label, LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis, check_density
-from .gm import GaussianMixture
+from .gm import GaussianMixture, check_pd
 
 SCHEMA = "lrfs-density/1"
 
@@ -33,9 +34,15 @@ def _pdf_from_dict(doc, where: str) -> GaussianMixture:
     lw, mu, cv = (_numbers(doc, key, where) for key in ("log_weights", "means", "covariances"))
     d = mu.shape[1] if mu.ndim == 2 else 0
     try:
-        return GaussianMixture(lw, mu, cv.reshape(-1, d, d))
+        pdf = GaussianMixture(lw, mu, cv.reshape(-1, d, d))
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+    if pdf.n_components:
+        try:
+            check_pd(pdf.covs)
+        except ValueError as e:
+            raise ValueError(f"{where}.covariances: {e}") from None
+    return pdf
 
 
 def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:

@@ -3,9 +3,9 @@
 Closed-form single-Gaussian algebra, mixture moments and pointwise
 densities, the delta-GLMB with explicit association tags and its
 marginalization, the M-delta-GLMB prediction that builds every candidate
-union before truncating, consensus-matrix convergence checks, and TOA/DOA sensor
-factories. The package itself never needs them, so they live with the
-tests.
+union before truncating, the Metropolis weights of an arc set with
+consensus-matrix convergence checks, and TOA/DOA sensor factories. The
+package itself never needs them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import scipy.special
 
 from distmot.densities import NORMALIZATION_ATOL, Label, LabelSet, MdGlmbDensity, MdGlmbHypothesis
 from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, PositiveDefiniteError, log_beta, logsumexp, symmetrize
-from distmot.network import ConsensusMatrix
 from distmot.sensors import SensorModel
 
 
@@ -319,22 +318,49 @@ def mdglmb_predict_build_all(
 # --- consensus matrices -------------------------------------------------------
 
 
-def is_doubly_stochastic(omega: ConsensusMatrix, atol: float = 1e-12) -> bool:
-    return bool(np.abs(omega.weights.sum(axis=0) - 1.0).max() <= atol)
+def metropolis_weights_from_arcs(nodes: tuple, arcs) -> np.ndarray:
+    """Metropolis weights of a directed graph given as (i, j) arcs, each node
+    implicitly its own in-neighbour: entry (i, j) of an arc is
+    1 / (1 + max(|N(i)|, |N(j)|)) and the diagonal absorbs the remainder.
+    The in-neighbours are found by scanning every arc and ordered as nodes
+    lists them; `network.metropolis_weights` must match this bit for bit."""
+    arcs = frozenset(arcs)
+
+    def in_neighbours(j):
+        out = {i for i, jj in arcs if jj == j}
+        out.add(j)
+        return tuple(sorted(out, key=nodes.index))
+
+    n = len(nodes)
+    idx = {node: i for i, node in enumerate(nodes)}
+    deg = {node: len(in_neighbours(node)) for node in nodes}
+    w = np.zeros((n, n))
+    for node in nodes:
+        i = idx[node]
+        for other in in_neighbours(node):
+            if other == node:
+                continue
+            w[i, idx[other]] = 1.0 / (1.0 + max(deg[node], deg[other]))
+        w[i, i] = 1.0 - w[i].sum()
+    return w
 
 
-def is_primitive(omega: ConsensusMatrix) -> bool:
+def is_doubly_stochastic(omega: np.ndarray, atol: float = 1e-12) -> bool:
+    return bool(np.abs(omega.sum(axis=0) - 1.0).max() <= atol)
+
+
+def is_primitive(omega: np.ndarray) -> bool:
     """Wielandt bound: a non-negative n x n matrix is primitive iff
     A^(n^2 - 2n + 2) is strictly positive."""
-    n = len(omega.nodes)
-    power = np.linalg.matrix_power(omega.weights, n * n - 2 * n + 2)
+    n = len(omega)
+    power = np.linalg.matrix_power(omega, n * n - 2 * n + 2)
     return bool((power > 0).all())
 
 
-def consensus_matrix_power_check(omega: ConsensusMatrix, n: int) -> float:
+def consensus_matrix_power_check(omega: np.ndarray, n: int) -> float:
     """Max absolute deviation of the entries of Omega^n from 1/|N|."""
-    target = 1.0 / len(omega.nodes)
-    power = np.linalg.matrix_power(omega.weights, n)
+    target = 1.0 / len(omega)
+    power = np.linalg.matrix_power(omega, n)
     return float(np.abs(power - target).max())
 
 

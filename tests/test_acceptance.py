@@ -27,7 +27,7 @@ from distmot.filters import FilterConfig, UpdateDiagnostics, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
 from distmot.harness import run_experiment, run_trial, trial_seed_for
-from distmot.network import NetworkGraph, metropolis_weights
+from distmot.network import metropolis_weights, neighbour_lists
 from distmot.ospa import ospa
 from distmot.scenario import Scenario, load_scenario, with_overrides
 from reference import (
@@ -146,8 +146,7 @@ def test_criterion_2_lmb_fusion_closure_oracle():
 def test_criterion_3_ci_equivalence_over_consensus():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    g = NetworkGraph.from_undirected_edges((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    omega = metropolis_weights(g)
+    omega = metropolis_weights(neighbour_lists(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
     gaussians = []
     for _ in range(4):
@@ -162,9 +161,9 @@ def test_criterion_3_ci_equivalence_over_consensus():
 
     worst = 0.0
     for _ in range(5):
-        densities = consensus_run(densities, g, omega, CFG)
-        infos = [sum(omega.weights[i, j] * infos[j] for j in range(4)) for i in range(4)]
-        vecs = [sum(omega.weights[i, j] * vecs[j] for j in range(4)) for i in range(4)]
+        densities = consensus_run(densities, omega, CFG)
+        infos = [sum(omega[i, j] * infos[j] for j in range(4)) for i in range(4)]
+        vecs = [sum(omega[i, j] * vecs[j] for j in range(4)) for i in range(4)]
         for i in range(4):
             cov = np.linalg.inv(infos[i])
             mean = cov @ vecs[i]
@@ -180,11 +179,7 @@ def test_criterion_3_ci_equivalence_over_consensus():
 
 def test_criterion_4_consensus_matrix_convergence():
     start = time.perf_counter()
-    g = NetworkGraph.from_undirected_edges(
-        (0, 1, 2, 3, 4, 5, 6),
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (1, 5)],
-    )
-    omega = metropolis_weights(g)
+    omega = metropolis_weights(neighbour_lists(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (1, 5)]))
     d1 = consensus_matrix_power_check(omega, 1)
     d3 = consensus_matrix_power_check(omega, 3)
     d10 = consensus_matrix_power_check(omega, 10)

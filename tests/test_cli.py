@@ -29,6 +29,12 @@ def test_validate_null_section(tmp_path, capsys):
     assert "filter: expected a mapping, got None" in capsys.readouterr().err
 
 
+def test_validate_malformed_edge(tmp_path, capsys):
+    # an edge that is not a pair is a validation error, not a runtime failure
+    assert main(["validate", "--scenario", write_scenario(tmp_path, graph={"edges": [5]})]) == EXIT_VALIDATION
+    assert "graph.edges[0]: 5 is not a pair" in capsys.readouterr().err
+
+
 def test_run_writes_node_network_and_summary(tmp_path):
     out = tmp_path / "out"
     argv = ["run", "--scenario", write_scenario(tmp_path), "--algorithm", "consensus-lmb", "--trials", "1", "--out", str(out)]

@@ -194,6 +194,30 @@ class TestMdglmbPredict:
             assert [h.label_set for h in got.hypotheses] == [(), (L1,)]
         assert_same_density(got, want)
 
+    def test_survivor_subsets_drawn_once_per_label_count(self, monkeypatch):
+        # with a constant P_S the survivor subsets depend only on the label
+        # count: five prior hypotheses of 0, 1 and 2 labels need three draws,
+        # plus one for the births
+        d = MdGlmbDensity.from_unnormalized([
+            MdGlmbHypothesis((), math.log(0.1), ()),
+            MdGlmbHypothesis((L1,), math.log(0.2), (g1(0.0),)),
+            MdGlmbHypothesis((L2,), math.log(0.2), (g1(1.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.25), (g1(2.0), g1(3.0, 2.0))),
+            MdGlmbHypothesis((L1, L3), math.log(0.25), (g1(4.0), g1(5.0))),
+        ])
+        birth = BirthModel(tuple(BirthEntry(i, 0.2, g1(10.0 * i)) for i in range(1, 4)))
+        draws = []
+        draw = filters.k_best_bernoulli_subsets
+
+        def counted(probs, k):
+            draws.append(len(probs))
+            return draw(probs, k)
+
+        monkeypatch.setattr(filters, "k_best_bernoulli_subsets", counted)
+        got = mdglmb_predict(d, motion_1d(0.9), birth, 2, 50)
+        assert sorted(draws) == [0, 1, 2, 3]
+        assert_same_density(got, mdglmb_predict_build_all(d, motion_1d(0.9), birth, 2, 50))
+
     def test_survivor_pdf_is_kalman_prediction(self):
         # P_S is constant, so survival re-weights no component: the survivor
         # pdf of a multi-component track is its Kalman prediction, bit for bit

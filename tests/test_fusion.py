@@ -12,7 +12,7 @@ from distmot.densities import (
 from distmot.filters import FilterConfig, reduce_lmb_pdfs, reduce_mdglmb_pdfs
 from distmot.fusion import FusionDegenerateWarning, consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.gm import Gaussian, GaussianMixture
-from distmot.network import NetworkGraph, metropolis_weights
+from distmot.network import metropolis_weights, neighbour_lists
 from reference import gm_covariance, gm_mean
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 
@@ -153,22 +153,22 @@ def scalar_mixture(rng, n):
     )
 
 
-def consensus_rounds(densities, g, omega, n_rounds):
+def consensus_rounds(densities, omega, n_rounds):
     for _ in range(n_rounds):
-        densities = consensus_run(densities, g, omega, CFG)
+        densities = consensus_run(densities, omega, CFG)
     return densities
 
 
 class TestConsensusRun:
     def graph4(self):
-        return NetworkGraph.from_undirected_edges((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        return neighbour_lists(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
     def test_identical_densities_fixed_point(self):
         rng = np.random.default_rng(6)
         g = self.graph4()
         omega = metropolis_weights(g)
         d = two_label_scalar_density(rng)
-        out = consensus_rounds([d] * 4, g, omega, 3)
+        out = consensus_rounds([d] * 4, omega, 3)
         for o in out:
             for h, e in zip(o.hypotheses, d.hypotheses):
                 assert h.label_set == e.label_set
@@ -185,9 +185,9 @@ class TestConsensusRun:
         infos = [np.linalg.inv(ga.cov) for ga in gaussians]
         vecs = [info @ ga.mean for info, ga in zip(infos, gaussians)]
         for n in range(1, 6):
-            densities = consensus_run(densities, g, omega, CFG)
-            new_infos = [sum(omega.weights[i, j] * infos[j] for j in range(4)) for i in range(4)]
-            new_vecs = [sum(omega.weights[i, j] * vecs[j] for j in range(4)) for i in range(4)]
+            densities = consensus_run(densities, omega, CFG)
+            new_infos = [sum(omega[i, j] * infos[j] for j in range(4)) for i in range(4)]
+            new_vecs = [sum(omega[i, j] * vecs[j] for j in range(4)) for i in range(4)]
             infos, vecs = new_infos, new_vecs
             for i in range(4):
                 cov = np.linalg.inv(infos[i])
@@ -197,12 +197,11 @@ class TestConsensusRun:
                 assert np.allclose(pdf.covs[0], cov, atol=1e-8)
 
     def test_two_node_lmb_converges_to_unweighted_kla(self):
-        g = NetworkGraph.from_undirected_edges((0, 1), [(0, 1)])
-        omega = metropolis_weights(g)
+        omega = metropolis_weights(neighbour_lists(2, [(0, 1)]))
         a = LmbDensity((LmbEntry(L1, 0.2, g1(0.0, 1.0)),))
         b = LmbDensity((LmbEntry(L1, 0.8, g1(4.0, 2.0)),))
         target = fuse_lmb([(a, 0.5), (b, 0.5)], CFG.gm_merge_thresh)
-        out = consensus_rounds([a, b], g, omega, 30)
+        out = consensus_rounds([a, b], omega, 30)
         for node in out:
             assert node.entry(L1).existence == pytest.approx(target.entry(L1).existence, abs=1e-6)
             assert gm_mean(node.entry(L1).pdf)[0] == pytest.approx(gm_mean(target.entry(L1).pdf)[0], abs=1e-6)
@@ -215,7 +214,7 @@ class TestConsensusRun:
         # a path graph: the middle node folds three inputs, so its fold
         # accumulator is merged, and the ends fuse two with other weights
         rng = np.random.default_rng(12)
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1), (1, 2)])
+        g = neighbour_lists(3, [(0, 1), (1, 2)])
         omega = metropolis_weights(g)
         cfg = FilterConfig(gm_max_components=4)
         if kind == "mdglmb":
@@ -226,22 +225,22 @@ class TestConsensusRun:
                     MdGlmbHypothesis((L1,), math.log(0.3), (scalar_mixture(rng, 3),)),
                     MdGlmbHypothesis((L1, L2), math.log(0.5), (scalar_mixture(rng, 2), scalar_mixture(rng, 3))),
                 ])
-                for _ in g.nodes
+                for _ in g
             ]
         else:
             fuse, reduce = fuse_lmb, reduce_lmb_pdfs
             densities = [
                 LmbDensity((LmbEntry(L1, 0.6, scalar_mixture(rng, 3)), LmbEntry(L2, 0.4, scalar_mixture(rng, 2))))
-                for _ in g.nodes
+                for _ in g
             ]
 
-        out = consensus_run(densities, g, omega, cfg)
+        out = consensus_run(densities, omega, cfg)
 
         def pdfs(d):
             return [p for h in d.hypotheses for p in h.pdfs] if kind == "mdglmb" else [e.pdf for e in d.entries]
 
-        for node, got in zip(g.nodes, out):
-            pairs = [(densities[j], omega.weight(node, j)) for j in g.in_neighbours(node)]
+        for node, got in enumerate(out):
+            pairs = [(densities[j], float(omega[node, j])) for j in g[node]]
             want = reduce(fuse(pairs, cfg.gm_merge_thresh), cfg)
             assert len(pdfs(got)) == len(pdfs(want)) > 0
             for p, q in zip(pdfs(got), pdfs(want)):

@@ -138,7 +138,7 @@ class TestRunTrial:
 class TestRunExperiment:
     def test_single_trial_aggregates_equal_trial(self):
         s = tiny_scenario(trials=1)
-        res = run_experiment(s, "consensus-mdglmb", keep_trials=True)
+        res = run_experiment(s, "consensus-mdglmb", workers=1, keep_trials=True)
         t = res.trial_results[0]
         assert np.array_equal(res.est_card_mean, np.array(t.est_card, dtype=float))
         assert np.allclose(res.ospa_mean, np.array(t.ospa_total))
@@ -154,7 +154,7 @@ class TestRunExperiment:
 
     def test_csv_output(self, tmp_path):
         s = tiny_scenario(trials=2)
-        res = run_experiment(s, "consensus-mdglmb", out_dir=tmp_path)
+        res = run_experiment(s, "consensus-mdglmb", workers=1, out_dir=tmp_path)
         files = sorted(p.name for p in tmp_path.iterdir())
         assert f"tiny_consensus-mdglmb_network.csv" in files
         assert f"tiny_consensus-mdglmb_node0.csv" in files
@@ -165,5 +165,5 @@ class TestRunExperiment:
 
     def test_consensus_steps_override(self):
         s = tiny_scenario(trials=1)
-        r0 = run_experiment(with_overrides(s, consensus_steps=0), "consensus-mdglmb", keep_trials=True)
+        r0 = run_experiment(with_overrides(s, consensus_steps=0), "consensus-mdglmb", workers=1, keep_trials=True)
         assert r0.trial_results[0].bytes_reference == 0

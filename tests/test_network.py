@@ -1,75 +1,87 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 
-from distmot.network import (
-    ConsensusMatrix,
-    GraphValidationError,
-    NetworkGraph,
-    UndirectedRequiredError,
-    metropolis_weights,
+from distmot.network import metropolis_weights, neighbour_lists
+from distmot.scenario import BUNDLED, load_scenario
+from reference import (
+    consensus_matrix_power_check,
+    is_doubly_stochastic,
+    is_primitive,
+    metropolis_weights_from_arcs,
 )
-from reference import consensus_matrix_power_check, is_doubly_stochastic, is_primitive
+
+# 7-ring with two chords; longest shortest path is 3 hops
+SEVEN_NODE_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (1, 5)]
 
 
 def seven_node_diameter_three():
-    # 7-ring with two chords; longest shortest path is 3 hops
-    return NetworkGraph.from_undirected_edges(
-        (0, 1, 2, 3, 4, 5, 6),
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (1, 5)],
-    )
+    return neighbour_lists(7, SEVEN_NODE_EDGES)
 
 
 class TestGraph:
     def test_unknown_node_named_in_error(self):
-        with pytest.raises(GraphValidationError, match=r"\(0, 9\)"):
-            NetworkGraph.from_undirected_edges((0, 1), [(0, 9)])
+        with pytest.raises(ValueError, match=r"edges\[0\]: \(0, 9\)"):
+            neighbour_lists(2, [(0, 9)])
 
     def test_in_neighbours_include_self(self):
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1)])
-        assert g.in_neighbours(0) == (0, 1)
-        assert g.in_neighbours(2) == (2,)
+        assert neighbour_lists(3, [(0, 1), (2, 0)]) == ((0, 1, 2), (0, 1), (0, 2))
+        assert neighbour_lists(1, []) == ((0,),)
+        # a repeated edge counts once
+        assert neighbour_lists(2, [(0, 1), (1, 0), (0, 1)]) == ((0, 1), (0, 1))
 
     def test_strong_connectivity(self):
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1), (1, 2)])
-        assert g.is_strongly_connected()
-        h = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1)])
-        assert not h.is_strongly_connected()
+        assert neighbour_lists(3, [(0, 1), (1, 2)]) == ((0, 1), (0, 1, 2), (1, 2))
+        with pytest.raises(ValueError, match="connected"):
+            neighbour_lists(3, [(0, 1)])
 
-    def test_directed_one_way(self):
-        g = NetworkGraph((0, 1), frozenset({(0, 1)}))
-        assert not g.is_undirected()
-        assert not g.is_strongly_connected()
+
+def undirected_arcs(edges):
+    return [(i, j) for i, j in edges] + [(j, i) for i, j in edges]
 
 
 class TestMetropolis:
     def test_two_node_graph(self):
-        g = NetworkGraph.from_undirected_edges((0, 1), [(0, 1)])
-        omega = metropolis_weights(g)
-        assert np.allclose(omega.weights, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+        omega = metropolis_weights(neighbour_lists(2, [(0, 1)]))
+        assert np.allclose(omega, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
         assert is_doubly_stochastic(omega)
 
     def test_complete_three(self):
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1), (1, 2), (0, 2)])
-        omega = metropolis_weights(g)
+        omega = metropolis_weights(neighbour_lists(3, [(0, 1), (1, 2), (0, 2)]))
         expect = np.full((3, 3), 0.25)
         np.fill_diagonal(expect, 0.5)
-        assert np.allclose(omega.weights, expect)
+        assert np.allclose(omega, expect)
         assert is_doubly_stochastic(omega)
 
     def test_single_node(self):
-        g = NetworkGraph((0,), frozenset())
-        omega = metropolis_weights(g)
-        assert omega.weights.tolist() == [[1.0]]
+        omega = metropolis_weights(neighbour_lists(1, []))
+        assert omega.tolist() == [[1.0]]
 
-    def test_asymmetric_rejected(self):
-        g = NetworkGraph((0, 1), frozenset({(0, 1)}))
-        with pytest.raises(UndirectedRequiredError):
-            metropolis_weights(g)
+    def test_read_only(self):
+        omega = metropolis_weights(neighbour_lists(2, [(0, 1)]))
+        with pytest.raises(ValueError):
+            omega[0, 0] = 0.5
 
-    def test_disconnected_rejected(self):
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1)])
-        with pytest.raises(GraphValidationError):
-            metropolis_weights(g)
+    @pytest.mark.parametrize("n, edges", [
+        (1, []),
+        (2, [(0, 1)]),
+        (3, [(0, 1), (1, 2)]),
+        (3, [(0, 1), (1, 2), (0, 2)]),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        (7, SEVEN_NODE_EDGES),
+    ])
+    def test_bits_match_arc_scan_reference(self, n, edges):
+        want = metropolis_weights_from_arcs(tuple(range(n)), undirected_arcs(edges))
+        assert metropolis_weights(neighbour_lists(n, edges)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_graph_bits_match_arc_scan_reference(self, name):
+        doc = yaml.safe_load(resources.files("distmot.scenarios").joinpath(f"{name}.yaml").read_text())
+        s = load_scenario(name)
+        want = metropolis_weights_from_arcs(tuple(range(len(s.sensors))), undirected_arcs(doc["graph"]["edges"]))
+        assert metropolis_weights(s.graph).tobytes() == want.tobytes()
 
     def test_seven_node_doubly_stochastic_primitive(self):
         omega = metropolis_weights(seven_node_diameter_three())
@@ -79,8 +91,7 @@ class TestMetropolis:
 
 class TestPowerCheck:
     def test_complete_graph_contracts(self):
-        g = NetworkGraph.from_undirected_edges((0, 1, 2), [(0, 1), (1, 2), (0, 2)])
-        omega = metropolis_weights(g)
+        omega = metropolis_weights(neighbour_lists(3, [(0, 1), (1, 2), (0, 2)]))
         assert consensus_matrix_power_check(omega, 1) <= consensus_matrix_power_check(omega, 0)
 
     def test_seven_node_deviation_decreases(self):
@@ -92,7 +103,7 @@ class TestPowerCheck:
         assert d10 < 0.05
 
     def test_reducible_matrix_flagged(self):
-        omega = ConsensusMatrix((0, 1), np.eye(2))
+        omega = np.eye(2)
         assert not is_primitive(omega)
         # no convergence toward 1/N
         assert consensus_matrix_power_check(omega, 50) == pytest.approx(0.5)

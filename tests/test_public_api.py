@@ -88,7 +88,6 @@ ALLOWED_DEFAULTS = {
 # reason each default stays.
 ALWAYS_PASSED = {
     "with_overrides(trials)": "None keeps the scenario's value; the CLI forwards it from an unset --trials",
-    "run_experiment(workers)": "None reads DISTMOT_WORKERS; the CLI forwards it from an unset --workers",
 }
 
 

@@ -34,7 +34,7 @@ def test_bundled_paper_scenario_contents():
     assert len(s.trajectories) == 5
     assert s.steps == 200 and s.sampling_interval == 5.0
     assert all(e.existence == pytest.approx(0.09) for e in s.birth.entries)
-    assert s.graph.is_strongly_connected()
+    assert s.graph[0] == (0, 1, 3, 6) and s.graph[1] == (0, 1, 2, 5)
 
 
 def test_bundled_regimes():
@@ -79,6 +79,15 @@ def test_disconnected_graph_rejected():
     doc["sensors"] = doc["sensors"] * 2
     doc["graph"] = {"edges": []}
     with pytest.raises(ScenarioError, match="connected"):
+        scenario_from_dict(doc, "test")
+
+
+@pytest.mark.parametrize("edge", [5, None, [0], [0, 1, 1], [0, 1.0], [0, True], [0, 2], [-1, 0], [1, 1], "01"])
+def test_malformed_edge_rejected(edge):
+    doc = copy.deepcopy(MINIMAL)
+    doc["sensors"] = doc["sensors"] * 2
+    doc["graph"] = {"edges": [[0, 1], edge]}
+    with pytest.raises(ScenarioError, match=rf"^graph\.edges\[1\]: {re.escape(repr(edge))} is not a pair of distinct"):
         scenario_from_dict(doc, "test")
 
 

@@ -74,7 +74,7 @@ def test_every_phase_yields_valid_densities(algorithm):
         if lmb:
             densities = check("prune", k, [lmb_prune(d, cfg.lmb_prune_thresh, cfg.max_hypotheses) for d in densities])
         for r in range(rounds):
-            densities = check(f"consensus round {r}", k, consensus_run(densities, s.graph, omega, cfg))
+            densities = check(f"consensus round {r}", k, consensus_run(densities, omega, cfg))
 
     per_step = 2 + len(node_scans[0]) + rounds
     assert len(checked) == STEPS * per_step

@@ -127,6 +127,7 @@ MALFORMED = {
     "bool_in_means": (lmb_doc, _set(["entries", 0, "pdf", "means", 0, 0], True), "entries[0].pdf.means is not a list of numbers"),
     "ragged_covariances": (lmb_doc, _set(["entries", 0, "pdf", "covariances"], [[1.0] * 16, [1.0] * 3]), "entries[0].pdf.covariances is not a list of numbers"),
     "covariance_size": (lmb_doc, _set(["entries", 0, "pdf", "covariances"], [[1.0] * 9] * 2), "entries[0].pdf: cannot reshape"),
+    "negative_variance": (lmb_doc, _set(["entries", 0, "pdf", "covariances", 1, 0], -1.0), "entries[0].pdf.covariances: covariance is not positive-definite"),
     "missing_hypotheses": (mdglmb_doc, _delete(["hypotheses"]), "document has no 'hypotheses'"),
     "missing_log_weight": (mdglmb_doc, _delete(["hypotheses", 1, "log_weight"]), "hypotheses[1] has no 'log_weight'"),
     "string_log_weight": (mdglmb_doc, _set(["hypotheses", 0, "log_weight"], "0"), "hypotheses[0].log_weight is not a number"),
