@@ -52,6 +52,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not an integer >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="distmot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--consensus-steps", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None, help="directory for per-node and network CSV output")
-    run.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
+    run.add_argument("--workers", type=_workers, default=1, help="concurrent trial workers (>= 1)")
     run.set_defaults(fn=_cmd_run)
 
     val = sub.add_parser("validate", help="validate a scenario file")

@@ -148,7 +148,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
             if len(h.pdfs) != len(labels):
                 raise ValueError(f"hypothesis {labels} carries {len(h.pdfs)} pdfs for {len(labels)} labels")
             for lab, pdf in zip(labels, h.pdfs):
-                if not pdf.is_normalized(atol=PDF_ATOL):
+                if not abs(pdf.total_log_weight()) <= PDF_ATOL:  # an empty pdf's is -inf
                     raise ValueError(f"pdf for {lab} in hypothesis {labels} is not normalized")
         total = logsumexp([h.log_weight for h in d.hypotheses])
         if not abs(total) <= NORMALIZATION_ATOL:  # NaN fails too
@@ -158,7 +158,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
         for e in d.entries:
             if not 0.0 <= e.existence <= 1.0:
                 raise ValueError(f"existence probability {e.existence} outside [0, 1] for {e.label}")
-            if e.pdf.n_components and not e.pdf.is_normalized(atol=PDF_ATOL):
+            if e.pdf.n_components and not abs(e.pdf.total_log_weight()) <= PDF_ATOL:
                 raise ValueError(f"pdf for {e.label} is not normalized")
     else:
         raise TypeError(f"cannot check {type(d).__name__}")

@@ -14,10 +14,10 @@ Each update does each piece of work once: psi rows are cached per distinct
 track pdf, the pdf conditioned on a measurement is built only when a ranked
 map selects it, and each distinct marginalized mixture is merged once
 however many hypotheses share it. A label's marginalized mixture is looked
-up by its psi row and the (measurement, log weight offset) pairs it mixes
-before it is built, so a hypothesis that repeats one already seen builds
-nothing; the theta groups of all labels come from one pass over each
-hypothesis's maps.
+up by its psi row and the normalized (log weight, measurement) pairs it
+mixes before it is built from them, so a hypothesis that repeats one
+already seen builds nothing; the theta groups of all labels come from one
+pass over each hypothesis's maps.
 
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
@@ -150,13 +150,17 @@ def _lse(values: list[float]) -> float:
 def kalman_predict_mixture(gm: GaussianMixture, motion: MotionModel) -> GaussianMixture:
     f, q = motion.transition, motion.noise_cov
     covs = symmetrize(np.matmul(np.matmul(f, gm.covs), f.T)) + q
-    return GaussianMixture._raw(gm.log_w.copy(), gm.means @ f.T, covs, gm.total_log_weight())
+    return GaussianMixture._raw(gm.log_w, gm.means @ f.T, covs)
+
+
+def _normalized(contribs: list[tuple[float, object]]) -> list[tuple[float, object]]:
+    total = _lse([c for c, _ in contribs])
+    return [(c - total, p) for c, p in contribs]
 
 
 def _mix_contributions(contribs: list[tuple[float, GaussianMixture]]) -> GaussianMixture:
-    """Normalized mixture of pdfs weighted by the given log weights."""
-    total = _lse([c[0] for c in contribs])
-    lw = np.concatenate([p.log_w + (c - total) for c, p in contribs])
+    """Mixture of pdfs weighted by the given normalized log weights."""
+    lw = np.concatenate([p.log_w + c for c, p in contribs])
     mu = np.concatenate([p.means for _, p in contribs])
     cv = np.concatenate([p.covs for _, p in contribs])
     return GaussianMixture._raw(lw, mu, cv)
@@ -250,7 +254,7 @@ def mdglmb_predict(
             break
         surv_mixed = mixed.get(surv_key)
         if surv_mixed is None:
-            surv_mixed = mixed[surv_key] = tuple(_mix_contributions(c) for c in surv_pdfs[surv_key])
+            surv_mixed = mixed[surv_key] = tuple(_mix_contributions(_normalized(c)) for c in surv_pdfs[surv_key])
         # survivors were born before step k, so they sort before its births
         hyps.append(MdGlmbHypothesis(surv_key + b_key, log_w, surv_mixed + b_pdfs))
 
@@ -288,7 +292,7 @@ class _PsiRow:
             return pdf
         keep = np.isfinite(self._log_det[:, j - 1])
         means = pdf.means[keep] + self._gain[keep] * self._resid[keep, j - 1, None]
-        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, means, self._covs[keep], 0.0)
+        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, means, self._covs[keep])
 
 
 class _PsiTable:
@@ -396,60 +400,48 @@ def mdglmb_update(
     """Measurement update with per-hypothesis ranked assignment, then
     marginalization over association maps within each label set.
 
-    Each hypothesis keeps its top assignments_per_hypothesis maps. Weights
-    are normalized jointly over all retained (I, theta) pairs before
-    hypotheses are truncated to max_hypotheses.
+    Each hypothesis keeps its top assignments_per_hypothesis maps; its
+    weight w(I) sums its maps' weights, prior weight times map score. It is
+    pruned below hyp_prune_thresh times the joint total, the sum of w(I)
+    over all hypotheses (the heaviest is kept if none passes); the rest are
+    truncated to max_hypotheses and normalized once, by from_unnormalized.
     """
     table = _PsiTable(Z, sensor, diagnostics)
     m = table.Z.size
 
-    entries = []  # (hyp index, theta, unnormalized log weight)
-    rows_per_hyp = []
-    for hi, h in enumerate(predicted.hypotheses):
-        rows = [table.row(pdf) for pdf in h.pdfs]
-        rows_per_hyp.append(rows)
-        if not math.isfinite(h.log_weight):
-            continue
-        log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, m + 1))
-        for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis):
-            entries.append((hi, theta, h.log_weight + score))
-
-    if not entries:
-        raise FilterDegeneracyError("update produced no feasible association for any hypothesis")
-
-    total = _lse([e[2] for e in entries])
-    by_hyp: dict[int, list[tuple[tuple[int, ...], float]]] = {}
-    for hi, theta, lw in entries:
-        by_hyp.setdefault(hi, []).append((theta, lw - total))
-
-    # A label's mixture is fixed by its psi row and the (measurement, log
-    # weight offset) pairs it mixes, so it is looked up by them and only a
-    # miss builds and reduces it.
+    # A label's mixture is fixed by its psi row and the normalized
+    # (log weight, measurement) pairs it mixes, so it is looked up by them
+    # and only a miss builds and reduces it.
     reduced: dict[tuple, GaussianMixture] = {}
     hyps = []
-    for hi, members in by_hyp.items():
-        h = predicted.hypotheses[hi]
-        rows = rows_per_hyp[hi]
-        log_w = _lse([w for _, w in members])
+    for h in predicted.hypotheses:
+        if not math.isfinite(h.log_weight):
+            continue
+        rows = [table.row(pdf) for pdf in h.pdfs]
+        log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, m + 1))
+        maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis)]
+        if not maps:
+            continue
+        log_w = _lse([w for _, w in maps])
         groups: list[dict[int, list[float]]] = [{} for _ in rows]
-        for theta, w in members:
+        for theta, w in maps:
             for g, j in zip(groups, theta):
                 g.setdefault(j, []).append(w)
         pdfs = []
         for row, g in zip(rows, groups):
-            contribs = [(_lse(ws) - log_w, j) for j, ws in sorted(g.items())]
-            total = _lse([c for c, _ in contribs])
-            key = (row, tuple((j, c - total) for c, j in contribs))
-            hit = reduced.get(key)
+            contribs = tuple(_normalized([(_lse(ws) - log_w, j) for j, ws in sorted(g.items())]))
+            hit = reduced.get((row, contribs))
             if hit is None:
                 mixed = _mix_contributions([(c, row.cond(j)) for c, j in contribs])
-                hit = reduced[key] = gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
+                hit = reduced[row, contribs] = gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
             pdfs.append(hit)
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
 
+    if not hyps:
+        raise FilterDegeneracyError("update produced no feasible association for any hypothesis")
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     if cfg.hyp_prune_thresh > 0.0:
-        floor = math.log(cfg.hyp_prune_thresh)
+        floor = math.log(cfg.hyp_prune_thresh) + _lse([h.log_weight for h in hyps])
         hyps = [h for h in hyps if h.log_weight >= floor] or hyps[:1]
     hyps = hyps[: cfg.max_hypotheses]
     return MdGlmbDensity.from_unnormalized(hyps)

@@ -48,7 +48,7 @@ class EmptyFusionError(ValueError):
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T) / 2, batched over leading axes."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def check_pd(cov: np.ndarray) -> None:
@@ -137,17 +137,16 @@ class GaussianMixture:
         object.__setattr__(self, "log_w", lw)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covs", cv)
-        object.__setattr__(self, "_log_total", logsumexp(lw))
 
     @classmethod
-    def _raw(cls, log_w, means, covs, log_total=None) -> "GaussianMixture":
-        """Trusted constructor for internal hot paths: arrays are adopted
-        as-is (float64, covariances already symmetric), no validation."""
+    def _raw(cls, log_w, means, covs) -> "GaussianMixture":
+        """Trusted constructor for hot paths, with no validation and no total:
+        the arrays are adopted as-is, float64 with exactly symmetric
+        covariances, and `total_log_weight` sums log_w when asked."""
         self = object.__new__(cls)
         object.__setattr__(self, "log_w", log_w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "_log_total", logsumexp(log_w) if log_total is None else log_total)
         return self
 
     @classmethod
@@ -167,17 +166,13 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def total_log_weight(self) -> float:
-        return self._log_total
-
-    def is_normalized(self, atol: float) -> bool:
-        return self.n_components > 0 and abs(self.total_log_weight()) <= atol
+        return logsumexp(self.log_w)
 
     def normalized(self) -> "GaussianMixture":
-        if self.n_components == 0:
-            raise ValueError("cannot normalize an empty mixture")
-        if not math.isfinite(self._log_total):
+        total = self.total_log_weight()  # -inf for an empty mixture
+        if not math.isfinite(total):
             raise ValueError("cannot normalize a zero-mass mixture")
-        return GaussianMixture._raw(self.log_w - self._log_total, self.means, self.covs, 0.0)
+        return GaussianMixture._raw(self.log_w - total, self.means, self.covs)
 
     def argmax_component(self) -> int:
         """Index of the heaviest component (first on ties)."""
@@ -225,7 +220,8 @@ def gm_merge_prune_cap(
     none. Singleton clusters, the common case, get their moments in one
     vectorized pass with the arithmetic of a one-member sum. Larger
     clusters are summed one at a time, since a batched sum could change the
-    summation order.
+    summation order. Neither moment sum is symmetric in the last bit, so the
+    covariances are symmetrized: they come out exactly symmetric.
     """
     if p.n_components == 0:
         return p
@@ -289,7 +285,7 @@ def gm_merge_prune_cap(
             cv[out] = ((cw[:, None, None] * covs[cluster]).sum(axis=0) + (cw[:, None] * dmu).T @ dmu) / tot
 
     lw = np.log(np.array(tots) / sum(tots))
-    return GaussianMixture._raw(lw, mu, cv, 0.0)
+    return GaussianMixture._raw(lw, mu, symmetrize(cv))
 
 
 def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
@@ -315,7 +311,7 @@ def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: flo
         - 0.5 * d * math.log(1.0 - omega)
         - 0.5 * (d * LOG_2PI + logdet_s + dmu @ np.linalg.solve(sep, dmu))
     )
-    return GaussianMixture._raw(np.zeros(1), mean[None, :], cov[None, :, :], 0.0), float(log_mass)
+    return GaussianMixture._raw(np.zeros(1), mean[None, :], cov[None, :, :]), float(log_mass)
 
 
 def _pairwise_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
@@ -377,7 +373,7 @@ def gm_chernoff_pair(
         raise EmptyFusionError("all pairwise fusion weights underflowed")
     log_alpha, mean, cov = log_alpha[finite], mean[finite], cov[finite]
     log_mass = float(logsumexp(log_alpha))
-    return GaussianMixture._raw(log_alpha - log_mass, mean, cov, 0.0), log_mass
+    return GaussianMixture._raw(log_alpha - log_mass, mean, cov), log_mass
 
 
 def gm_chernoff_multi(

@@ -116,26 +116,40 @@ def _load_birth(doc: dict) -> BirthModel:
     return BirthModel(tuple(entries))
 
 
-_COUNT_FIELDS = ("max_hypotheses", "assignments_per_hypothesis", "gm_max_components")
-_UNIT_FIELDS = ("hyp_prune_thresh", "gm_trunc_thresh", "lmb_prune_thresh")
+# what a numeric field must be: a test on a real number, and its wording
+_COUNT = (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
+_INDEX = (lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+# a negative merge threshold leaves every merge cluster empty, so the merged
+# moments come out NaN
+_NONNEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
+_POSITIVE = (lambda v: v > 0.0, "a number > 0")
+_FINITE = (math.isfinite, "a finite number")
+
+_FILTER_FIELDS = {
+    **dict.fromkeys(("max_hypotheses", "assignments_per_hypothesis", "gm_max_components"), _COUNT),
+    **dict.fromkeys(("hyp_prune_thresh", "gm_trunc_thresh", "lmb_prune_thresh"), _UNIT),
+    "gm_merge_thresh": _NONNEGATIVE,
+}
+# each run setting's kind and default
+_RUN_FIELDS = {"consensus_steps": (_INDEX, 1), "trials": (_COUNT, 1), "seed": (_INDEX, 0)}
+
+
+def _number(field: str, v, kind):
+    """v, if it is a real number (an int or float, not a bool) of the given
+    kind; otherwise a ScenarioError naming the field."""
+    test, want = kind
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and test(v)):  # NaN fails every comparison
+        raise ScenarioError(f"{field}: {v!r} is not {want}")
+    return v
 
 
 def _load_filter(doc: dict) -> FilterConfig:
-    unknown = set(doc) - {*_COUNT_FIELDS, *_UNIT_FIELDS, "gm_merge_thresh"}
+    unknown = set(doc) - set(_FILTER_FIELDS)
     if unknown:
         raise ScenarioError(f"filter: unknown fields {sorted(unknown)}")
     for k, v in doc.items():
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if k in _COUNT_FIELDS:
-            ok, want = number and isinstance(v, int) and v >= 1, "an integer >= 1"
-        elif k in _UNIT_FIELDS:
-            ok, want = number and 0.0 <= v <= 1.0, "a number in [0, 1]"
-        else:
-            # a negative threshold leaves every merge cluster empty, so the
-            # merged moments come out NaN
-            ok, want = number and v >= 0.0, "a number >= 0"
-        if not ok:  # NaN fails every comparison
-            raise ScenarioError(f"filter.{k}: {v!r} is not {want}")
+        _number(f"filter.{k}", v, _FILTER_FIELDS[k])
     return FilterConfig(**doc)
 
 
@@ -144,18 +158,12 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
         raise ScenarioError(f"schema: expected 1, got {doc.get('schema')!r}")
     name = doc.get("name", name)
     area_doc = _section(_require(doc, "area", name), dict, "area")
-    area = tuple(float(area_doc[k]) for k in ("xmin", "xmax", "ymin", "ymax"))
+    area = tuple(float(_number(f"area.{k}", _require(area_doc, k, "area"), _FINITE)) for k in ("xmin", "xmax", "ymin", "ymax"))
     if area[1] <= area[0] or area[3] <= area[2]:
         raise ScenarioError("area: xmax/ymax must exceed xmin/ymin")
-    ts = float(_require(doc, "sampling_interval", name))
-    if ts <= 0:
-        raise ScenarioError("sampling_interval: must be positive")
-    steps = int(_require(doc, "steps", name))
-    if steps < 1:
-        raise ScenarioError("steps: must be >= 1")
-    survival_prob = float(doc.get("survival_prob", 0.99))
-    if not 0.0 <= survival_prob <= 1.0:
-        raise ScenarioError(f"survival_prob: {survival_prob} outside [0, 1]")
+    ts = float(_number("sampling_interval", _require(doc, "sampling_interval", name), _POSITIVE))
+    steps = _number("steps", _require(doc, "steps", name), _COUNT)
+    survival_prob = float(_number("survival_prob", doc.get("survival_prob", 0.99), _UNIT))
 
     regime_clutter = doc.get("clutter_rate")
     regime_pd = doc.get("detection_prob")
@@ -197,16 +205,14 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
         area=area,
         sampling_interval=ts,
         steps=steps,
-        process_noise_std=float(doc.get("process_noise_std", 5.0)),
+        process_noise_std=float(_number("process_noise_std", doc.get("process_noise_std", 5.0), _NONNEGATIVE)),
         survival_prob=survival_prob,
         birth=_load_birth(_section(_require(doc, "birth", name), dict, "birth")),
         sensors=sensors,
         graph=graph,
         trajectories=tuple(trajectories),
         filter=_load_filter(_section(doc.get("filter", {}), dict, "filter")),
-        consensus_steps=int(doc.get("consensus_steps", 1)),
-        trials=int(doc.get("trials", 1)),
-        seed=int(doc.get("seed", 0)),
+        **{k: _number(k, doc.get(k, default), kind) for k, (kind, default) in _RUN_FIELDS.items()},
     )
     _validate_truth_inside_area(scenario)
     return scenario
@@ -248,13 +254,10 @@ def with_overrides(
     trials: int | None = None,
     seed: int | None = None,
 ) -> Scenario:
-    """Copy of the scenario with its run settings swapped out."""
-    return dataclasses.replace(
-        s,
-        consensus_steps=s.consensus_steps if consensus_steps is None else consensus_steps,
-        trials=s.trials if trials is None else trials,
-        seed=s.seed if seed is None else seed,
-    )
+    """Copy of the scenario with its run settings swapped out, each checked
+    as scenario load checks it."""
+    given = {"consensus_steps": consensus_steps, "trials": trials, "seed": seed}
+    return dataclasses.replace(s, **{k: _number(k, v, _RUN_FIELDS[k][0]) for k, v in given.items() if v is not None})
 
 
 def generate_truth(s: Scenario) -> list[list[tuple[Label, np.ndarray]]]:

@@ -167,7 +167,8 @@ def gm_merge_prune_cap_loop(
     """gm_merge_prune_cap with one solve and one moment sum per pivot.
 
     The package's version batches the pivot metric and the singleton
-    moments; it must return these arrays bit for bit.
+    moments; it must return these arrays bit for bit. Both symmetrize the
+    merged covariances.
     """
     if p.n_components == 0:
         return p
@@ -208,7 +209,7 @@ def gm_merge_prune_cap_loop(
     lw = np.log(np.array([m[0] / tot for m in merged]))
     mu = np.stack([m[1] for m in merged])
     cv = np.stack([m[2] for m in merged])
-    return GaussianMixture._raw(lw, mu, cv, 0.0)
+    return GaussianMixture._raw(lw, mu, symmetrize(cv))
 
 
 # --- delta-GLMB with association tags -----------------------------------------
@@ -274,7 +275,7 @@ def mdglmb_predict_build_all(
     build a hypothesis for each of the 4 max_hypotheses best (survivor,
     birth) pairs, sort them and keep max_hypotheses."""
     from distmot.densities import k_best_bernoulli_subsets
-    from distmot.filters import _k_best_products, _lse, _mix_contributions, kalman_predict_mixture
+    from distmot.filters import _k_best_products, _lse, _mix_contributions, _normalized, kalman_predict_mixture
 
     birth_labels = birth.labels_at(k)
     subset_cap = max(4 * max_hypotheses, 64)
@@ -309,7 +310,7 @@ def mdglmb_predict_build_all(
             if lab in b_key:
                 pdfs.append(b_pdfs[b_key.index(lab)])
             else:
-                pdfs.append(_mix_contributions(surv_pdfs[surv_key][lab]))
+                pdfs.append(_mix_contributions(_normalized(surv_pdfs[surv_key][lab])))
         hyps.append(MdGlmbHypothesis(label_set, surv_logw + b_logw, tuple(pdfs)))
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     return MdGlmbDensity.from_unnormalized(hyps[:max_hypotheses])

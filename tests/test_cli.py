@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from distmot.cli import EXIT_RUNTIME, EXIT_VALIDATION, main
@@ -33,6 +34,32 @@ def test_validate_malformed_edge(tmp_path, capsys):
     # an edge that is not a pair is a validation error, not a runtime failure
     assert main(["validate", "--scenario", write_scenario(tmp_path, graph={"edges": [5]})]) == EXIT_VALIDATION
     assert "graph.edges[0]: 5 is not a pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, options, message",
+    [
+        ({"trials": 0}, [], "trials: 0 is not an integer >= 1"),
+        ({"consensus_steps": -2}, [], "consensus_steps: -2 is not an integer >= 0"),
+        ({"steps": "abc"}, [], "steps: 'abc' is not an integer >= 1"),
+        ({}, ["--trials", "0"], "trials: 0 is not an integer >= 1"),
+        ({}, ["--seed", "-1"], "seed: -1 is not an integer >= 0"),
+        ({}, ["--consensus-steps", "-1"], "consensus_steps: -1 is not an integer >= 0"),
+    ],
+)
+def test_run_rejects_bad_run_setting(tmp_path, capsys, scenario, options, message):
+    argv = ["run", "--scenario", write_scenario(tmp_path, **scenario), "--algorithm", "consensus-lmb", *options]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
+    argv = ["run", "--scenario", write_scenario(tmp_path), "--algorithm", "consensus-lmb", "--workers", workers]
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == EXIT_VALIDATION
+    assert f"{workers} is not an integer >= 1" in capsys.readouterr().err
 
 
 def test_run_writes_node_network_and_summary(tmp_path):

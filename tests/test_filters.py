@@ -33,7 +33,7 @@ from distmot.filters import (
     ncv_motion_model,
 )
 from distmot.assignment import ranked_assignments
-from distmot.filters import _lse, _mix_contributions, _PsiTable
+from distmot.filters import _lse, _mix_contributions, _normalized, _PsiTable
 from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap, logsumexp
 from distmot.sensors import unscented_update_mixture
 from reference import gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all
@@ -299,7 +299,7 @@ def eager_psi_row(table, pdf):
             log_psi[j + 1] = tot - table.log_kappa[j]
             if np.isfinite(tot):
                 keep = np.isfinite(log_det[:, j])
-                cond[j + 1] = GaussianMixture._raw(log_det[keep, j] - tot, mus[keep, j], covs[keep], 0.0)
+                cond[j + 1] = GaussianMixture._raw(log_det[keep, j] - tot, mus[keep, j], covs[keep])
     return log_psi, cond
 
 
@@ -484,6 +484,29 @@ class TestMdglmbUpdate:
             expect = math.log(sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set))
             assert h.log_weight == pytest.approx(expect, abs=1e-10)
 
+    def test_prune_floor_is_relative_to_joint_total(self, monkeypatch):
+        # the floor is hyp_prune_thresh times the summed weight of every
+        # hypothesis's maps; the kept hypotheses are normalized among
+        # themselves, and the heaviest is kept when none passes
+        sensor = linear_px_sensor(noise_std=1.0, clutter_rate=3.0, detection_prob=0.9, space=(-60.0, 60.0))
+        d = MdGlmbDensity.from_unnormalized([
+            MdGlmbHypothesis((), math.log(0.2), ()),
+            MdGlmbHypothesis((L1,), math.log(0.3), (g4(-5.0, 0.0, pos_var=4.0),)),
+            MdGlmbHypothesis((L1, L2), math.log(0.5), (g4(-5.0, 0.0, pos_var=4.0), g4(6.0, 0.0, pos_var=9.0))),
+        ])
+        Z = [-4.0, 7.0]
+        monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
+        table = brute_force_update_weights(d, Z, sensor)
+        exact = {h.label_set: sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set) for h in d.hypotheses}
+        light, middle, heavy = sorted(exact.values())
+        for thresh, kept in ((math.sqrt(light * middle), (middle, heavy)), (1.0, (heavy,))):
+            cfg = FilterConfig(hyp_prune_thresh=thresh, assignments_per_hypothesis=16)
+            post = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+            assert sorted(h.label_set for h in post.hypotheses) == sorted(ls for ls, w in exact.items() if w in kept)
+            assert len(post) == len(kept) < len(exact)
+            for h in post.hypotheses:
+                assert math.exp(h.log_weight) == pytest.approx(exact[h.label_set] / sum(kept), abs=1e-10)
+
     def test_ranked_equals_exhaustive_with_large_k(self, monkeypatch):
         sensor = linear_px_sensor(noise_std=1.5, clutter_rate=2.0, detection_prob=0.85, space=(-60.0, 60.0))
         hyps = [
@@ -514,27 +537,22 @@ class TestMdglmbUpdate:
 
 
 def rebuilt_update(predicted, Z, sensor, cfg):
-    """mdglmb_update that builds and merges every label's mixture anew,
-    grouping maps by measurement one label at a time."""
+    """mdglmb_update that builds and merges every label's mixture anew from
+    the raw map weights, grouping maps by measurement one label at a time."""
     table = _PsiTable(Z, sensor, UpdateDiagnostics())
-    scored = []
+    hyps = []
     for h in predicted.hypotheses:
         rows = [table.row(pdf) for pdf in h.pdfs]
         log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, table.Z.size + 1))
         maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis)]
-        scored.append((h, rows, maps))
-    total = _lse([w for _, _, maps in scored for _, w in maps])
-    hyps = []
-    for h, rows, maps in scored:
-        members = [(theta, w - total) for theta, w in maps]
-        log_w = _lse([w for _, w in members])
+        log_w = _lse([w for _, w in maps])
         pdfs = []
         for i, row in enumerate(rows):
             groups: dict[int, list[float]] = {}
-            for theta, w in members:
+            for theta, w in maps:
                 groups.setdefault(theta[i], []).append(w)
             contribs = [(_lse(ws) - log_w, row.cond(j)) for j, ws in sorted(groups.items())]
-            mixed = _mix_contributions(contribs)
+            mixed = _mix_contributions(_normalized(contribs))
             pdfs.append(gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components))
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set))

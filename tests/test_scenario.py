@@ -91,6 +91,60 @@ def test_malformed_edge_rejected(edge):
         scenario_from_dict(doc, "test")
 
 
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        ("steps", 0, "an integer >= 1"),
+        ("steps", "abc", "an integer >= 1"),
+        ("steps", 20.0, "an integer >= 1"),
+        ("trials", 0, "an integer >= 1"),
+        ("trials", 2.7, "an integer >= 1"),
+        ("trials", True, "an integer >= 1"),
+        ("consensus_steps", -2, "an integer >= 0"),
+        ("consensus_steps", None, "an integer >= 0"),
+        ("seed", "s", "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+        ("sampling_interval", 0.0, "a number > 0"),
+        ("sampling_interval", "5", "a number > 0"),
+        ("process_noise_std", -1.0, "a number >= 0"),
+        ("process_noise_std", float("nan"), "a number >= 0"),
+    ],
+)
+def test_run_setting_checked_at_load(field, value, want):
+    doc = copy.deepcopy(MINIMAL)
+    doc[field] = value
+    with pytest.raises(ScenarioError, match=rf"^{field}: {re.escape(repr(value))} is not {want}$"):
+        scenario_from_dict(doc, "test")
+
+
+@pytest.mark.parametrize("key", ["xmin", "xmax", "ymin", "ymax"])
+def test_area_key_checked_at_load(key):
+    doc = copy.deepcopy(MINIMAL)
+    del doc["area"][key]
+    with pytest.raises(ScenarioError, match=rf"^missing field area\.{key}$"):
+        scenario_from_dict(doc, "test")
+    doc["area"][key] = "0"
+    with pytest.raises(ScenarioError, match=rf"^area\.{key}: '0' is not a finite number$"):
+        scenario_from_dict(doc, "test")
+
+
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        ("trials", 0, "an integer >= 1"),
+        ("trials", True, "an integer >= 1"),
+        ("consensus_steps", -2, "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+        ("seed", 1.5, "an integer >= 0"),
+    ],
+)
+def test_override_checked_as_at_load(field, value, want):
+    s = scenario_from_dict(copy.deepcopy(MINIMAL), "test")
+    with pytest.raises(ScenarioError, match=rf"^{field}: {re.escape(repr(value))} is not {want}$"):
+        with_overrides(s, **{field: value})
+    assert getattr(with_overrides(s, **{field: 3}), field) == 3
+
+
 def test_bad_schema_rejected():
     doc = copy.deepcopy(MINIMAL)
     doc["schema"] = 2
@@ -183,11 +237,11 @@ def test_detection_prob_outside_unit_interval_rejected(pd):
         scenario_from_dict(doc, "test")
 
 
-@pytest.mark.parametrize("ps", [1.7, -0.1])
+@pytest.mark.parametrize("ps", [1.7, -0.1, "0.9"])
 def test_survival_prob_outside_unit_interval_rejected(ps):
     doc = copy.deepcopy(MINIMAL)
     doc["survival_prob"] = ps
-    with pytest.raises(ScenarioError, match=r"survival_prob: .* outside \[0, 1\]"):
+    with pytest.raises(ScenarioError, match=r"survival_prob: .* is not a number in \[0, 1\]"):
         scenario_from_dict(doc, "test")
 
 

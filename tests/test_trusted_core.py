@@ -3,13 +3,16 @@
 The package checks a density only where it enters from outside
 (`wire.density_from_dict`); inside, records adopt their fields as given.
 This runs each algorithm's step functions one phase at a time on the first
-steps of desk_small and calls `check_density` on every node's density after
-each phase, then checks that the phases composed here are the ones
-`run_trial` runs, by comparing the estimates of the last step.
+steps of desk_small. After each phase it calls `check_density` on every
+node's density, checks that every covariance equals its transpose exactly,
+and checks that the density survives a wire round trip bit for bit. Then it
+checks that the phases composed here are the ones `run_trial` runs, by
+comparing the estimates of the last step.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from distmot.densities import LmbDensity, MdGlmbDensity, check_density
@@ -25,13 +28,32 @@ from distmot.filters import (
     reduce_mdglmb_pdfs,
 )
 from distmot.fusion import consensus_run
+from distmot.gm import gm_key
 from distmot.harness import ALGORITHMS, _sensor_rngs, run_trial, trial_seed_for
 from distmot.network import metropolis_weights
 from distmot.scenario import generate_truth, load_scenario, with_overrides
 from distmot.sensors import simulate_measurements
+from distmot.wire import density_from_json, density_to_json
 
 STEPS = 6
 ROUNDS = 2
+
+
+def pdf_bits(p):
+    return gm_key(p), p.total_log_weight().hex()
+
+
+def density_bits(d):
+    """Label sets, log weights or existences, and every pdf, bit for bit."""
+    if isinstance(d, LmbDensity):
+        return [(e.label, e.existence.hex(), pdf_bits(e.pdf)) for e in d.entries]
+    return [(h.label_set, h.log_weight.hex(), [pdf_bits(p) for p in h.pdfs]) for h in d.hypotheses]
+
+
+def pdfs_of(d):
+    if isinstance(d, LmbDensity):
+        return [e.pdf for e in d.entries]
+    return [p for h in d.hypotheses for p in h.pdfs]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -55,6 +77,9 @@ def test_every_phase_yields_valid_densities(algorithm):
                 check_density(d)
             except ValueError as e:
                 raise AssertionError(f"step {k}, {phase}, node {node}: {e}") from e
+            where = f"step {k}, {phase}, node {node}"
+            assert all(np.array_equal(p.covs, p.covs.transpose(0, 2, 1)) for p in pdfs_of(d)), f"{where}: asymmetric covariance"
+            assert density_bits(density_from_json(density_to_json(d))) == density_bits(d), f"{where}: wire round trip changed bits"
         checked.append(phase)
         return ds
 
