@@ -5,6 +5,12 @@ These are the heavyweight experiment configurations (50x50 km area, 200
 steps, 7 sensors, 100 Monte-Carlo trials); expect hours of compute at the
 defaults. Use --trials for a quicker look.
 
+The defaults include consensus-lmb, which does not yet run at these
+scenarios' caps (3000 hypotheses, 50 maps per hypothesis): its collapsed
+mixtures are fused unreduced, and one paper_highsnr trial was killed for
+running out of memory at 7.9 GB RSS within 120 s. Pass --algorithms
+without it on a machine of that size.
+
 Examples:
     python scripts/run_paper_scenarios.py --out results/
     python scripts/run_paper_scenarios.py --scenarios paper_highsnr \
@@ -29,9 +35,11 @@ def main() -> int:
     ap.add_argument("--algorithms", nargs="+", default=list(ALGORITHMS), choices=ALGORITHMS)
     ap.add_argument("--consensus-steps", nargs="+", type=int, default=[1, 3])
     ap.add_argument("--trials", type=int, default=None, help="override the scenario's trial count")
-    ap.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
+    ap.add_argument("--workers", type=int, default=1, help="concurrent trial workers (>= 1)")
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
+    if args.workers < 1:
+        ap.error(f"argument --workers: {args.workers} is not an integer >= 1")
 
     out = Path(args.out)
     for name in args.scenarios:

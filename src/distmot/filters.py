@@ -57,7 +57,7 @@ from .sensors import SensorModel, unscented_update_mixture
 
 
 class FilterDegeneracyError(RuntimeError):
-    """The filter lost every hypothesis; surfaced with step/node context by the harness."""
+    """The filter lost every hypothesis; the harness names the trial seed and step."""
 
 
 @dataclass
@@ -67,23 +67,16 @@ class UpdateDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class MotionModel:
-    """Linear-Gaussian motion with a constant survival probability."""
+    """Linear-Gaussian motion with a constant survival probability.
+
+    The record adopts its fields as given: ncv_motion_model builds a square
+    transition and an exactly symmetric PSD noise covariance, both read-only,
+    from the sampling interval, noise and P_S that scenario load checks.
+    """
 
     transition: np.ndarray
     noise_cov: np.ndarray
     survival_prob: float
-
-    def __post_init__(self):
-        f = np.array(self.transition, dtype=float)
-        q = symmetrize(np.array(self.noise_cov, dtype=float))
-        if f.shape != q.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError("transition and noise matrices must be square and matching")
-        if np.linalg.eigvalsh(q).min() < -1e-9:
-            raise ValueError("process noise must be positive semi-definite")
-        f.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "transition", f)
-        object.__setattr__(self, "noise_cov", q)
 
 
 def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_prob: float) -> MotionModel:
@@ -94,6 +87,8 @@ def ncv_motion_model(sampling_interval: float, accel_noise_std: float, survival_
     z = np.zeros((2, 2))
     f = np.block([[f1, z], [z, f1]])
     q = np.block([[q1, z], [z, q1]])
+    f.setflags(write=False)
+    q.setflags(write=False)
     return MotionModel(f, q, survival_prob)
 
 
@@ -103,25 +98,17 @@ class BirthEntry:
     existence: float
     pdf: GaussianMixture
 
-    def __post_init__(self):
-        if not 0.0 <= self.existence <= 1.0:
-            raise ValueError(f"birth existence {self.existence} outside [0, 1]")
-
 
 @dataclass(frozen=True, eq=False)
 class BirthModel:
-    """Static birth table instantiated with fresh labels (k, index) every step."""
+    """Static birth table instantiated with fresh labels (k, index) every step.
+
+    The table and its entries adopt their fields as given: scenario load
+    numbers the entries 1..n, checks each existence in [0, 1], and rejects
+    a repeated birth location.
+    """
 
     entries: tuple[BirthEntry, ...]
-
-    def __post_init__(self):
-        idx = [e.index for e in self.entries]
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError("birth indices must be distinct and increasing")
-        for i, a in enumerate(self.entries):
-            for b in self.entries[i + 1 :]:
-                if a.pdf.n_components == b.pdf.n_components and np.array_equal(a.pdf.means, b.pdf.means) and np.array_equal(a.pdf.covs, b.pdf.covs):
-                    raise ValueError(f"birth pdfs for indices {a.index} and {b.index} coincide")
 
     def labels_at(self, k: int) -> list[Label]:
         return [(k, e.index) for e in self.entries]

@@ -21,7 +21,6 @@ import numpy as np
 
 from .densities import LmbDensity, MdGlmbDensity
 from .filters import (
-    FilterDegeneracyError,
     UpdateDiagnostics,
     centralized_mdglmb_step,
     extract_estimates_lmb,
@@ -78,7 +77,9 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     Every algorithm runs one recursion per step: a local step at each node,
     then the scenario's consensus rounds, then extraction. Centralized is a
     single node that receives every sensor's scan and runs no round; nor
-    does a single sensor, whose graph has no edge.
+    does a single sensor, whose graph has no edge. An exception in step k
+    is re-raised as a RuntimeError naming the trial seed, k and the
+    algorithm.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -126,28 +127,27 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     bytes_actual = 0
 
     for k in range(scenario.steps):
-        scans = [(s, simulate_measurements(truth[k], s, rngs[i])) for i, s in enumerate(scenario.sensors)]
-        node_scans = [scans] if centralized else [[scan] for scan in scans]
         try:
+            scans = [(s, simulate_measurements(truth[k], s, rngs[i])) for i, s in enumerate(scenario.sensors)]
+            node_scans = [scans] if centralized else [[scan] for scan in scans]
             densities = [step(d, k, ns) for d, ns in zip(densities, node_scans)]
             for _ in range(rounds):
                 for d in densities:
                     bytes_reference += exchange_bytes_reference(d)
                     bytes_actual += exchange_bytes_actual(d)
                 densities = consensus_run(densities, omega, cfg)
-        except FilterDegeneracyError as e:
-            raise FilterDegeneracyError(f"step {k}, algorithm {algorithm}: {e}") from e
-
-        truth_states = np.array([state for _, state in truth[k]]) if truth[k] else np.zeros((0, 4))
-        for node in range(n_nodes):
-            est = extract(densities[node])
-            est_states = np.array([s for _, s in est]) if est else np.zeros((0, 4))
-            res = ospa(est_states, truth_states, OSPA_CUTOFF, OSPA_ORDER)
-            est_card[node][k] = len(est)
-            ospa_total[node][k] = res.total
-            ospa_loc[node][k] = res.localization
-            ospa_card[node][k] = res.cardinality
-            estimates[node][k] = [[list(lab), [float(v) for v in s]] for lab, s in est]
+            truth_states = np.array([state for _, state in truth[k]]) if truth[k] else np.zeros((0, 4))
+            for node in range(n_nodes):
+                est = extract(densities[node])
+                est_states = np.array([s for _, s in est]) if est else np.zeros((0, 4))
+                res = ospa(est_states, truth_states, OSPA_CUTOFF, OSPA_ORDER)
+                est_card[node][k] = len(est)
+                ospa_total[node][k] = res.total
+                ospa_loc[node][k] = res.localization
+                ospa_card[node][k] = res.cardinality
+                estimates[node][k] = [[list(lab), [float(v) for v in s]] for lab, s in est]
+        except Exception as e:
+            raise RuntimeError(f"trial seed {trial_seed}, step {k}, algorithm {algorithm}: {type(e).__name__}: {e}") from e
 
     return TrialResult(
         algorithm=algorithm,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,7 +21,7 @@ import yaml
 
 from .densities import Label
 from .filters import BirthEntry, BirthModel, FilterConfig, MotionModel, ncv_motion_model
-from .gm import Gaussian, GaussianMixture
+from .gm import Gaussian, GaussianMixture, PositiveDefiniteError, check_pd
 from .network import neighbour_lists
 from .sensors import SensorModel
 
@@ -78,40 +79,45 @@ def _section(value, kind, field: str):
     return value
 
 
-def _load_sensor(doc: dict, i: int, area, regime_clutter=None, regime_pd=None) -> SensorModel:
+def _load_sensor(doc: dict, i: int, area, clutter: float, pd: float) -> SensorModel:
+    """Sensor i; clutter and pd are the regime's checked values, taken where
+    the sensor sets none."""
     where = f"sensors[{i}]"
     kind = _require(doc, "kind", where)
-    position = tuple(_section(_require(doc, "position", where), _SEQUENCE, f"{where}.position"))
-    clutter = float(doc.get("clutter_rate", regime_clutter if regime_clutter is not None else 0.0))
-    pd = float(doc.get("detection_prob", regime_pd if regime_pd is not None else 0.99))
+    position = _numbers(f"{where}.position", _require(doc, "position", where), 2, _FINITE)
+    clutter = float(_number(f"{where}.clutter_rate", doc.get("clutter_rate", clutter), _NONNEGATIVE))
+    pd = float(_number(f"{where}.detection_prob", doc.get("detection_prob", pd), _UNIT))
     if kind == "toa":
-        noise = float(doc.get("noise_std", 100.0))
+        noise = float(_number(f"{where}.noise_std", doc.get("noise_std", 100.0), _POSITIVE))
         xmin, xmax, ymin, ymax = area
-        r_max = float(doc.get("r_max", math.hypot(xmax - xmin, ymax - ymin)))
+        r_max = float(_number(f"{where}.r_max", doc.get("r_max", math.hypot(xmax - xmin, ymax - ymin)), _POSITIVE))
         space = (0.0, r_max)
     elif kind == "doa":
         if "noise_std_deg" in doc:
-            noise = math.radians(float(doc["noise_std_deg"]))
+            noise = math.radians(_number(f"{where}.noise_std_deg", doc["noise_std_deg"], _POSITIVE))
         else:
-            noise = float(doc.get("noise_std", math.radians(1.0)))
+            noise = float(_number(f"{where}.noise_std", doc.get("noise_std", math.radians(1.0)), _POSITIVE))
         space = (-math.pi, math.pi)
     else:
         raise ScenarioError(f"{where}.kind: unknown sensor kind {kind!r}")
-    try:
-        return SensorModel(kind, position, noise, clutter, pd, space)
-    except ValueError as e:
-        raise ScenarioError(f"{where}: {e}") from e
+    return SensorModel(kind, position, noise, clutter, pd, space)
 
 
 def _load_birth(doc: dict) -> BirthModel:
-    existence = float(_require(doc, "existence", "birth"))
-    cov_diag = _section(_require(doc, "cov_diag", "birth"), _SEQUENCE, "birth.cov_diag")
-    cov = np.diag(np.asarray(cov_diag, dtype=float))
+    """The birth table, its entries numbered 1..n in document order."""
+    existence = float(_number("birth.existence", _require(doc, "existence", "birth"), _UNIT))
+    cov = np.diag(_numbers("birth.cov_diag", _require(doc, "cov_diag", "birth"), 4, _POSITIVE))
+    try:
+        check_pd(cov)
+    except PositiveDefiniteError as e:
+        raise ScenarioError(f"birth.cov_diag: {e}") from e
+    first: dict[tuple[float, ...], int] = {}
     entries = []
     for i, loc in enumerate(_section(_require(doc, "locations", "birth"), _SEQUENCE, "birth.locations")):
-        mean = np.asarray(loc, dtype=float)
-        if mean.shape != (4,):
-            raise ScenarioError(f"birth.locations[{i}]: expected a 4-vector [px, vx, py, vy]")
+        mean = _numbers(f"birth.locations[{i}]", loc, 4, _FINITE)
+        j = first.setdefault(mean, i)
+        if j != i:
+            raise ScenarioError(f"birth.locations[{i}]: repeats birth.locations[{j}]")
         entries.append(BirthEntry(i + 1, existence, GaussianMixture.single(Gaussian(mean, cov))))
     return BirthModel(tuple(entries))
 
@@ -120,11 +126,12 @@ def _load_birth(doc: dict) -> BirthModel:
 _COUNT = (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
 _INDEX = (lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+# the bound is also false for NaN and for an int too large for a float
+_FINITE = (lambda v: abs(v) <= sys.float_info.max, "a finite number")
 # a negative merge threshold leaves every merge cluster empty, so the merged
 # moments come out NaN
-_NONNEGATIVE = (lambda v: v >= 0.0, "a number >= 0")
-_POSITIVE = (lambda v: v > 0.0, "a number > 0")
-_FINITE = (math.isfinite, "a finite number")
+_NONNEGATIVE = (lambda v: 0.0 <= v <= sys.float_info.max, "a finite number >= 0")
+_POSITIVE = (lambda v: 0.0 < v <= sys.float_info.max, "a finite number > 0")
 
 _FILTER_FIELDS = {
     **dict.fromkeys(("max_hypotheses", "assignments_per_hypothesis", "gm_max_components"), _COUNT),
@@ -142,6 +149,14 @@ def _number(field: str, v, kind):
     if not (isinstance(v, (int, float)) and not isinstance(v, bool) and test(v)):  # NaN fails every comparison
         raise ScenarioError(f"{field}: {v!r} is not {want}")
     return v
+
+
+def _numbers(field: str, v, n: int, kind) -> tuple[float, ...]:
+    """v, if it is a list of n real numbers of the given kind, as floats;
+    otherwise a ScenarioError naming the field or the entry."""
+    if len(_section(v, _SEQUENCE, field)) != n:
+        raise ScenarioError(f"{field}: expected a list of {n} numbers, got {v!r}")
+    return tuple(float(_number(f"{field}[{i}]", x, kind)) for i, x in enumerate(v))
 
 
 def _load_filter(doc: dict) -> FilterConfig:
@@ -165,8 +180,8 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
     steps = _number("steps", _require(doc, "steps", name), _COUNT)
     survival_prob = float(_number("survival_prob", doc.get("survival_prob", 0.99), _UNIT))
 
-    regime_clutter = doc.get("clutter_rate")
-    regime_pd = doc.get("detection_prob")
+    regime_clutter = float(_number("clutter_rate", doc.get("clutter_rate", 0.0), _NONNEGATIVE))
+    regime_pd = float(_number("detection_prob", doc.get("detection_prob", 0.99), _UNIT))
     sensors = tuple(
         _load_sensor(_section(s, dict, f"sensors[{i}]"), i, area, regime_clutter, regime_pd)
         for i, s in enumerate(_section(_require(doc, "sensors", name), _SEQUENCE, "sensors"))
@@ -185,20 +200,19 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
     for i, t in enumerate(_section(doc.get("trajectories", []), _SEQUENCE, "trajectories")):
         where = f"trajectories[{i}]"
         _section(t, dict, where)
-        birth = int(_require(t, "birth", where))
-        death = int(_require(t, "death", where))
+        birth = _number(f"{where}.birth", _require(t, "birth", where), _INDEX)
+        death = _number(f"{where}.death", _require(t, "death", where), _INDEX)
         if death <= birth:
             raise ScenarioError(f"{where}: death step {death} must exceed birth step {birth}")
-        if birth < 0 or death > steps:
+        if death > steps:
             raise ScenarioError(f"{where}: lifetime [{birth}, {death}) outside 0..{steps}")
-        state = tuple(float(v) for v in _section(_require(t, "state", where), _SEQUENCE, f"{where}.state"))
-        if len(state) != 4:
-            raise ScenarioError(f"{where}.state: expected [px, vx, py, vy]")
-        changes = tuple(
-            (int(c[0]), float(c[1]), float(c[2]))
-            for c in _section(t.get("velocity_changes", []), _SEQUENCE, f"{where}.velocity_changes")
-        )
-        trajectories.append(TruthTrajectory(birth, death, state, changes))
+        state = _numbers(f"{where}.state", _require(t, "state", where), 4, _FINITE)
+        changes = []
+        for j, c in enumerate(_section(t.get("velocity_changes", []), _SEQUENCE, f"{where}.velocity_changes")):
+            field = f"{where}.velocity_changes[{j}]"
+            _, vx, vy = _numbers(field, c, 3, _FINITE)
+            changes.append((_number(f"{field}[0]", c[0], _INDEX), vx, vy))
+        trajectories.append(TruthTrajectory(birth, death, state, tuple(changes)))
 
     scenario = Scenario(
         name=name,

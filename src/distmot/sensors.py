@@ -51,6 +51,9 @@ class SensorModel:
 
     detection_prob is the constant P_D of every object.
     measurement_space is the (lo, hi) support of the uniform clutter density.
+    The record adopts its fields as given: scenario load checks them (kind
+    "toa" or "doa", a finite position, noise_std > 0, clutter_rate >= 0,
+    detection_prob in [0, 1]).
     """
 
     kind: str
@@ -59,17 +62,6 @@ class SensorModel:
     clutter_rate: float
     detection_prob: float
     measurement_space: tuple[float, float]
-
-    def __post_init__(self):
-        if self.kind not in ("toa", "doa"):
-            raise ValueError(f"unknown sensor kind {self.kind!r}")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
-        if self.clutter_rate < 0:
-            raise ValueError("clutter_rate must be non-negative")
-        if not 0.0 <= self.detection_prob <= 1.0:
-            raise ValueError(f"detection_prob {self.detection_prob} outside [0, 1]")
-        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
 
     @property
     def angular(self) -> bool:

