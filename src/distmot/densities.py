@@ -133,7 +133,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
     (sorted and duplicate-free), as is the hypothesis order; one pdf per
     label, each normalized within PDF_ATOL; log weights summing to 1 within
     NORMALIZATION_ATOL. LMB: labels strictly increasing; existences in
-    [0, 1]; every non-empty pdf normalized within PDF_ATOL.
+    [0, 1]; every pdf normalized within PDF_ATOL.
     """
     if isinstance(d, MdGlmbDensity):
         if not d.hypotheses:
@@ -148,7 +148,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
             if len(h.pdfs) != len(labels):
                 raise ValueError(f"hypothesis {labels} carries {len(h.pdfs)} pdfs for {len(labels)} labels")
             for lab, pdf in zip(labels, h.pdfs):
-                if not abs(pdf.total_log_weight()) <= PDF_ATOL:  # an empty pdf's is -inf
+                if not abs(pdf.total_log_weight()) <= PDF_ATOL:
                     raise ValueError(f"pdf for {lab} in hypothesis {labels} is not normalized")
         total = logsumexp([h.log_weight for h in d.hypotheses])
         if not abs(total) <= NORMALIZATION_ATOL:  # NaN fails too
@@ -158,7 +158,7 @@ def check_density(d: LmbDensity | MdGlmbDensity) -> None:
         for e in d.entries:
             if not 0.0 <= e.existence <= 1.0:
                 raise ValueError(f"existence probability {e.existence} outside [0, 1] for {e.label}")
-            if e.pdf.n_components and not abs(e.pdf.total_log_weight()) <= PDF_ATOL:
+            if not abs(e.pdf.total_log_weight()) <= PDF_ATOL:
                 raise ValueError(f"pdf for {e.label} is not normalized")
     else:
         raise TypeError(f"cannot check {type(d).__name__}")
@@ -183,24 +183,18 @@ def cardinality_distribution_lmb(d: LmbDensity) -> np.ndarray:
 
 
 def intensity_mdglmb(d: MdGlmbDensity, label: Label) -> tuple[float, GaussianMixture]:
-    """Existence mass sum_{I owning label} w(I) and the matching pdf mixture."""
+    """Existence mass sum_{I owning label} w(I) and the matching pdf mixture
+    of a label that some hypothesis holds."""
     log_ws, parts = [], []
     for h in d.hypotheses:
         if label in h.label_set:
             log_ws.append(h.log_weight)
             parts.append(h.pdf(label))
-    if not log_ws:
-        dim = 0
-        for h in d.hypotheses:
-            if h.pdfs:
-                dim = h.pdfs[0].dim
-                break
-        return 0.0, GaussianMixture.empty(dim)
     log_mass = logsumexp(log_ws)
     lw = np.concatenate([p.log_w + (w - log_mass) for p, w in zip(parts, log_ws)])
     mu = np.concatenate([p.means for p in parts])
     cv = np.concatenate([p.covs for p in parts])
-    return float(math.exp(log_mass)), GaussianMixture._raw(lw, mu, cv)
+    return float(math.exp(log_mass)), GaussianMixture(lw, mu, cv)
 
 
 def lmb_from_mdglmb(d: MdGlmbDensity) -> LmbDensity:
@@ -208,9 +202,8 @@ def lmb_from_mdglmb(d: MdGlmbDensity) -> LmbDensity:
     entries = []
     for label in d.label_space():
         mass, pdf = intensity_mdglmb(d, label)
-        if pdf.n_components:
-            # the summed weights can round above 1
-            entries.append(LmbEntry(label, min(mass, 1.0), pdf))
+        # the summed weights can round above 1
+        entries.append(LmbEntry(label, min(mass, 1.0), pdf))
     return LmbDensity(tuple(entries))
 
 

@@ -137,7 +137,7 @@ def _lse(values: list[float]) -> float:
 def kalman_predict_mixture(gm: GaussianMixture, motion: MotionModel) -> GaussianMixture:
     f, q = motion.transition, motion.noise_cov
     covs = symmetrize(np.matmul(np.matmul(f, gm.covs), f.T)) + q
-    return GaussianMixture._raw(gm.log_w, gm.means @ f.T, covs)
+    return GaussianMixture(gm.log_w, gm.means @ f.T, covs)
 
 
 def _normalized(contribs: list[tuple[float, object]]) -> list[tuple[float, object]]:
@@ -150,7 +150,7 @@ def _mix_contributions(contribs: list[tuple[float, GaussianMixture]]) -> Gaussia
     lw = np.concatenate([p.log_w + c for c, p in contribs])
     mu = np.concatenate([p.means for _, p in contribs])
     cv = np.concatenate([p.covs for _, p in contribs])
-    return GaussianMixture._raw(lw, mu, cv)
+    return GaussianMixture(lw, mu, cv)
 
 
 def _k_best_products(a: list[float], b: list[float], k: int):
@@ -279,7 +279,7 @@ class _PsiRow:
             return pdf
         keep = np.isfinite(self._log_det[:, j - 1])
         means = pdf.means[keep] + self._gain[keep] * self._resid[keep, j - 1, None]
-        return GaussianMixture._raw(self._log_det[keep, j - 1] - tot, means, self._covs[keep])
+        return GaussianMixture(self._log_det[keep, j - 1] - tot, means, self._covs[keep])
 
 
 class _PsiTable:
@@ -477,7 +477,7 @@ def extract_estimates_mdglmb(d: MdGlmbDensity) -> list[tuple[Label, np.ndarray]]
     candidates = [h for h in d.hypotheses if len(h.label_set) == n_star]
     candidates.sort(key=lambda h: (-h.log_weight, h.label_set))
     best = candidates[0]
-    return [(lab, pdf.means[pdf.argmax_component()].copy()) for lab, pdf in zip(best.label_set, best.pdfs)]
+    return [(lab, pdf.means[np.argmax(pdf.log_w)].copy()) for lab, pdf in zip(best.label_set, best.pdfs)]
 
 
 def extract_estimates_lmb(d: LmbDensity) -> list[tuple[Label, np.ndarray]]:
@@ -489,7 +489,7 @@ def extract_estimates_lmb(d: LmbDensity) -> list[tuple[Label, np.ndarray]]:
     c_star = int(np.argmax(pmf))
     ranked = sorted(d.entries, key=lambda e: (-e.existence, e.label))[:c_star]
     ranked.sort(key=lambda e: e.label)
-    return [(e.label, e.pdf.means[e.pdf.argmax_component()].copy()) for e in ranked]
+    return [(e.label, e.pdf.means[np.argmax(e.pdf.log_w)].copy()) for e in ranked]
 
 
 def centralized_mdglmb_step(

@@ -52,42 +52,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def check_pd(cov: np.ndarray) -> None:
-    eig = np.linalg.eigvalsh(symmetrize(cov))
-    if eig[..., -1].min() <= 0.0 or (eig[..., 0] < PD_RTOL * eig[..., -1]).any():
+    with np.errstate(over="ignore"):  # overflowing entries give NaN eigenvalues, which fail below
+        eig = np.linalg.eigvalsh(symmetrize(cov))
+    if not (eig[..., -1].min() > 0.0 and (eig[..., 0] >= PD_RTOL * eig[..., -1]).all()):
         raise PositiveDefiniteError(
             f"covariance is not positive-definite within tolerance "
             f"(eigenvalue range {eig.min():.3e}..{eig.max():.3e})"
         )
-
-
-def _frozen_array(x, shape=None) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    if shape is not None:
-        a = a.reshape(shape)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class Gaussian:
-    """Single Gaussian with mean (d,) and symmetric PD covariance (d,d)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = _frozen_array(self.mean).reshape(-1)
-        cov = np.array(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match mean of length {mean.size}")
-        if not np.isfinite(mean).all() or not np.isfinite(cov).all():
-            raise ValueError("Gaussian parameters must be finite")
-        cov = symmetrize(cov)
-        check_pd(cov)
-        cov.setflags(write=False)
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def log_beta(omega: float, cov: np.ndarray) -> float:
@@ -101,82 +72,32 @@ def log_beta(omega: float, cov: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Weighted Gaussian sum stored as stacked arrays.
+    """Weighted Gaussian sum stored as stacked arrays: log_w (n,), means
+    (n, d) and covs (n, d, d), with n >= 1. A normalized mixture has
+    logsumexp(log_w) == 0.
 
-    log_w: (n,), means: (n, d), covs: (n, d, d). A normalized mixture has
-    logsumexp(log_w) == 0. n == 0 (empty mixture) is allowed.
+    The record adopts its arrays as given: every producer builds float64
+    arrays with exactly symmetric covariances, and the mixtures that come
+    from outside are checked where they enter, by wire decode and by
+    scenario load. `total_log_weight` sums log_w when asked.
     """
 
     log_w: np.ndarray
     means: np.ndarray
     covs: np.ndarray
 
-    def __post_init__(self):
-        lw = np.atleast_1d(np.array(self.log_w, dtype=float))
-        mu = np.array(self.means, dtype=float)
-        cv = np.array(self.covs, dtype=float)
-        if lw.ndim != 1:
-            raise ValueError("log_w must be 1-D")
-        n = lw.size
-        if n == 0:
-            d0 = mu.shape[1] if mu.ndim == 2 else (cv.shape[-1] if cv.ndim == 3 else 0)
-            mu = mu.reshape(0, d0)
-            cv = cv.reshape(0, d0, d0)
-        if mu.ndim != 2 or mu.shape[0] != n:
-            raise ValueError(f"means shape {mu.shape} does not match {n} components")
-        d = mu.shape[1]
-        if cv.shape != (n, d, d):
-            raise ValueError(f"covs shape {cv.shape}, expected {(n, d, d)}")
-        if not np.isfinite(mu).all() or not np.isfinite(cv).all():
-            raise ValueError("mixture parameters must be finite")
-        if np.isnan(lw).any() or (lw == np.inf).any():
-            raise ValueError("log weights must be < inf and not NaN")
-        cv = symmetrize(cv)
-        for a in (lw, mu, cv):
-            a.setflags(write=False)
-        object.__setattr__(self, "log_w", lw)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covs", cv)
-
-    @classmethod
-    def _raw(cls, log_w, means, covs) -> "GaussianMixture":
-        """Trusted constructor for hot paths, with no validation and no total:
-        the arrays are adopted as-is, float64 with exactly symmetric
-        covariances, and `total_log_weight` sums log_w when asked."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "log_w", log_w)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
-        return self
-
-    @classmethod
-    def single(cls, g: Gaussian) -> "GaussianMixture":
-        return cls(np.zeros(1), g.mean[None, :], g.cov[None, :, :])
-
-    @classmethod
-    def empty(cls, dim: int) -> "GaussianMixture":
-        return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim, dim)))
-
     @property
     def n_components(self) -> int:
         return self.log_w.size
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     def total_log_weight(self) -> float:
         return logsumexp(self.log_w)
 
     def normalized(self) -> "GaussianMixture":
-        total = self.total_log_weight()  # -inf for an empty mixture
+        total = self.total_log_weight()
         if not math.isfinite(total):
             raise ValueError("cannot normalize a zero-mass mixture")
-        return GaussianMixture._raw(self.log_w - total, self.means, self.covs)
-
-    def argmax_component(self) -> int:
-        """Index of the heaviest component (first on ties)."""
-        return int(np.argmax(self.log_w))
+        return GaussianMixture(self.log_w - total, self.means, self.covs)
 
 
 def gm_key(p: GaussianMixture) -> tuple:
@@ -223,8 +144,6 @@ def gm_merge_prune_cap(
     summation order. Neither moment sum is symmetric in the last bit, so the
     covariances are symmetrized: they come out exactly symmetric.
     """
-    if p.n_components == 0:
-        return p
     if p.n_components == 1:
         return p if p.log_w[0] == 0.0 else p.normalized()
     w = np.exp(p.log_w - p.total_log_weight())
@@ -285,12 +204,12 @@ def gm_merge_prune_cap(
             cv[out] = ((cw[:, None, None] * covs[cluster]).sum(axis=0) + (cw[:, None] * dmu).T @ dmu) / tot
 
     lw = np.log(np.array(tots) / sum(tots))
-    return GaussianMixture._raw(lw, mu, symmetrize(cv))
+    return GaussianMixture(lw, mu, symmetrize(cv))
 
 
 def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
     """Closed-form fusion of two single-Gaussian mixtures (exact)."""
-    d = p_a.dim
+    d = p_a.means.shape[1]
     pa, pb = p_a.covs[0], p_b.covs[0]
     ia, ib = np.linalg.inv(pa), np.linalg.inv(pb)
     cov = symmetrize(np.linalg.inv(omega * ia + (1.0 - omega) * ib))
@@ -311,12 +230,12 @@ def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: flo
         - 0.5 * d * math.log(1.0 - omega)
         - 0.5 * (d * LOG_2PI + logdet_s + dmu @ np.linalg.solve(sep, dmu))
     )
-    return GaussianMixture._raw(np.zeros(1), mean[None, :], cov[None, :, :]), float(log_mass)
+    return GaussianMixture(np.zeros(1), mean[None, :], cov[None, :, :]), float(log_mass)
 
 
 def _pairwise_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
     """All-pairs fused components and log weights for exponents (w, 1-w)."""
-    na, nb, d = p_a.n_components, p_b.n_components, p_a.dim
+    na, nb, d = p_a.n_components, p_b.n_components, p_a.means.shape[1]
     ia = np.linalg.inv(symmetrize(p_a.covs))
     ib = np.linalg.inv(symmetrize(p_b.covs))
     info = omega * ia[:, None] + (1.0 - omega) * ib[None, :]
@@ -359,8 +278,6 @@ def gm_chernoff_pair(
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
-    if p_a.n_components == 0 or p_b.n_components == 0:
-        raise ValueError("fusion inputs must be nonempty mixtures")
     if omega == 0.0:
         return p_b, 0.0
     if omega == 1.0:
@@ -373,7 +290,7 @@ def gm_chernoff_pair(
         raise EmptyFusionError("all pairwise fusion weights underflowed")
     log_alpha, mean, cov = log_alpha[finite], mean[finite], cov[finite]
     log_mass = float(logsumexp(log_alpha))
-    return GaussianMixture._raw(log_alpha - log_mass, mean, cov), log_mass
+    return GaussianMixture(log_alpha - log_mass, mean, cov), log_mass
 
 
 def gm_chernoff_multi(

@@ -89,7 +89,7 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     from distmot.sensors import simulate_measurements
 
     truth = generate_truth(scenario)
-    motion = scenario.motion_model()
+    motion = scenario.motion
     birth = scenario.birth
     cfg = scenario.filter
     rngs = _sensor_rngs(trial_seed, len(scenario.sensors))

@@ -21,7 +21,7 @@ import yaml
 
 from .densities import Label
 from .filters import BirthEntry, BirthModel, FilterConfig, MotionModel, ncv_motion_model
-from .gm import Gaussian, GaussianMixture, PositiveDefiniteError, check_pd
+from .gm import GaussianMixture, PositiveDefiniteError, check_pd
 from .network import neighbour_lists
 from .sensors import SensorModel
 
@@ -46,8 +46,7 @@ class Scenario:
     area: tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
     sampling_interval: float
     steps: int
-    process_noise_std: float
-    survival_prob: float
+    motion: MotionModel
     birth: BirthModel
     sensors: tuple[SensorModel, ...]
     graph: tuple[tuple[int, ...], ...]  # each sensor's in-neighbours, itself included
@@ -56,9 +55,6 @@ class Scenario:
     consensus_steps: int
     trials: int
     seed: int
-
-    def motion_model(self) -> MotionModel:
-        return ncv_motion_model(self.sampling_interval, self.process_noise_std, self.survival_prob)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -104,13 +100,18 @@ def _load_sensor(doc: dict, i: int, area, clutter: float, pd: float) -> SensorMo
 
 
 def _load_birth(doc: dict) -> BirthModel:
-    """The birth table, its entries numbered 1..n in document order."""
+    """The birth table, its entries numbered 1..n in document order, each a
+    one-component mixture on read-only arrays of its checked location and
+    the shared checked covariance."""
     existence = float(_number("birth.existence", _require(doc, "existence", "birth"), _UNIT))
-    cov = np.diag(_numbers("birth.cov_diag", _require(doc, "cov_diag", "birth"), 4, _POSITIVE))
+    cov = np.diag(_numbers("birth.cov_diag", _require(doc, "cov_diag", "birth"), 4, _POSITIVE))[None]
     try:
         check_pd(cov)
     except PositiveDefiniteError as e:
         raise ScenarioError(f"birth.cov_diag: {e}") from e
+    log_w = np.zeros(1)
+    log_w.setflags(write=False)
+    cov.setflags(write=False)
     first: dict[tuple[float, ...], int] = {}
     entries = []
     for i, loc in enumerate(_section(_require(doc, "locations", "birth"), _SEQUENCE, "birth.locations")):
@@ -118,7 +119,9 @@ def _load_birth(doc: dict) -> BirthModel:
         j = first.setdefault(mean, i)
         if j != i:
             raise ScenarioError(f"birth.locations[{i}]: repeats birth.locations[{j}]")
-        entries.append(BirthEntry(i + 1, existence, GaussianMixture.single(Gaussian(mean, cov))))
+        means = np.array([mean])
+        means.setflags(write=False)
+        entries.append(BirthEntry(i + 1, existence, GaussianMixture(log_w, means, cov)))
     return BirthModel(tuple(entries))
 
 
@@ -159,6 +162,33 @@ def _numbers(field: str, v, n: int, kind) -> tuple[float, ...]:
     return tuple(float(_number(f"{field}[{i}]", x, kind)) for i, x in enumerate(v))
 
 
+def _motion(ts: float, noise: float, ps: float) -> MotionModel | None:
+    """ncv_motion_model, or None if its noise covariance overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            motion = ncv_motion_model(ts, noise, ps)
+    except OverflowError:  # a Python float power out of range
+        return None
+    return motion if np.isfinite(motion.noise_cov).all() else None
+
+
+def _load_motion(doc: dict, ts: float) -> MotionModel:
+    """The filter's motion model; an interval and a noise whose noise
+    covariance overflows are an error naming both."""
+    noise = float(_number("process_noise_std", doc.get("process_noise_std", 5.0), _NONNEGATIVE))
+    ps = float(_number("survival_prob", doc.get("survival_prob", 0.99), _UNIT))
+    motion = _motion(ts, noise, ps)
+    if motion is None:
+        # the interval is at fault if it overflows a unit noise too
+        bad, other = ("sampling_interval", ts), ("process_noise_std", noise)
+        if _motion(ts, 1.0, ps) is not None:
+            bad, other = other, bad
+        raise ScenarioError(
+            f"{bad[0]}: {bad[1]!r} is not small enough for a finite process noise covariance with {other[0]} {other[1]!r}"
+        )
+    return motion
+
+
 def _load_filter(doc: dict) -> FilterConfig:
     unknown = set(doc) - set(_FILTER_FIELDS)
     if unknown:
@@ -172,13 +202,15 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
     if doc.get("schema") != 1:
         raise ScenarioError(f"schema: expected 1, got {doc.get('schema')!r}")
     name = doc.get("name", name)
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ScenarioError(f"name: {name!r} is not a file name (a non-empty string with no path separator, not '.' or '..')")
     area_doc = _section(_require(doc, "area", name), dict, "area")
     area = tuple(float(_number(f"area.{k}", _require(area_doc, k, "area"), _FINITE)) for k in ("xmin", "xmax", "ymin", "ymax"))
     if area[1] <= area[0] or area[3] <= area[2]:
         raise ScenarioError("area: xmax/ymax must exceed xmin/ymin")
     ts = float(_number("sampling_interval", _require(doc, "sampling_interval", name), _POSITIVE))
     steps = _number("steps", _require(doc, "steps", name), _COUNT)
-    survival_prob = float(_number("survival_prob", doc.get("survival_prob", 0.99), _UNIT))
+    motion = _load_motion(doc, ts)
 
     regime_clutter = float(_number("clutter_rate", doc.get("clutter_rate", 0.0), _NONNEGATIVE))
     regime_pd = float(_number("detection_prob", doc.get("detection_prob", 0.99), _UNIT))
@@ -219,8 +251,7 @@ def scenario_from_dict(doc: dict, name: str) -> Scenario:
         area=area,
         sampling_interval=ts,
         steps=steps,
-        process_noise_std=float(_number("process_noise_std", doc.get("process_noise_std", 5.0), _NONNEGATIVE)),
-        survival_prob=survival_prob,
+        motion=motion,
         birth=_load_birth(_section(_require(doc, "birth", name), dict, "birth")),
         sensors=sensors,
         graph=graph,

@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .densities import Label, LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis, check_density
-from .gm import GaussianMixture, check_pd
+from .gm import GaussianMixture, check_pd, symmetrize
 
 SCHEMA = "lrfs-density/1"
 
@@ -31,18 +31,34 @@ def _pdf_to_dict(pdf: GaussianMixture) -> dict:
 
 
 def _pdf_from_dict(doc, where: str) -> GaussianMixture:
+    """One received mixture, checked for everything the filters take as
+    given: at least one component, 4-D states [px, vx, py, vy], agreeing
+    shapes, finite means and covariances, log weights neither NaN nor +inf,
+    and covariances positive definite once symmetrized. Its arrays are
+    frozen."""
     lw, mu, cv = (_numbers(doc, key, where) for key in ("log_weights", "means", "covariances"))
-    d = mu.shape[1] if mu.ndim == 2 else 0
+    n = lw.size
+    if n == 0:
+        raise ValueError(f"{where}: a mixture needs at least one component")
+    if lw.ndim != 1:
+        raise ValueError(f"{where}.log_weights is not a flat list of numbers")
+    if mu.shape != (n, 4):
+        raise ValueError(f"{where}.means: shape {mu.shape} is not ({n}, 4), one 4-D state per log weight")
+    if cv.shape != (n, 16):
+        raise ValueError(f"{where}: cannot reshape covariances of shape {cv.shape} into ({n}, 4, 4)")
+    if not (np.isfinite(mu).all() and np.isfinite(cv).all()):
+        raise ValueError(f"{where}: mixture parameters must be finite")
+    if np.isnan(lw).any() or (lw == np.inf).any():
+        raise ValueError(f"{where}: log weights must be < inf and not NaN")
+    cv = cv.reshape(n, 4, 4)
     try:
-        pdf = GaussianMixture(lw, mu, cv.reshape(-1, d, d))
+        check_pd(cv)  # of the symmetrized covariances
     except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
-    if pdf.n_components:
-        try:
-            check_pd(pdf.covs)
-        except ValueError as e:
-            raise ValueError(f"{where}.covariances: {e}") from None
-    return pdf
+        raise ValueError(f"{where}.covariances: {e}") from None
+    cv = symmetrize(cv)
+    for a in (lw, mu, cv):
+        a.setflags(write=False)
+    return GaussianMixture(lw, mu, cv)
 
 
 def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:

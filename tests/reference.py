@@ -18,11 +18,34 @@ import numpy as np
 import scipy.special
 
 from distmot.densities import NORMALIZATION_ATOL, Label, LabelSet, MdGlmbDensity, MdGlmbHypothesis
-from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, PositiveDefiniteError, log_beta, logsumexp, symmetrize
+from distmot.gm import LOG_2PI, GaussianMixture, PositiveDefiniteError, check_pd, log_beta, logsumexp, symmetrize
 from distmot.sensors import SensorModel
 
 
 # --- single Gaussians -------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Gaussian:
+    """Single Gaussian with mean (d,) and symmetric PD covariance (d,d),
+    converted from the literals a test writes and checked."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = np.array(self.mean, dtype=float).reshape(-1)
+        cov = np.array(self.cov, dtype=float)
+        if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
+            raise ValueError(f"covariance shape {cov.shape} does not match mean of length {mean.size}")
+        if not np.isfinite(mean).all() or not np.isfinite(cov).all():
+            raise ValueError("Gaussian parameters must be finite")
+        cov = symmetrize(cov)
+        check_pd(cov)
+        cov.setflags(write=False)
+        mean.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
 
 class DegenerateExponentError(ValueError):
@@ -120,14 +143,25 @@ def chernoff_weight(a: Gaussian, b: Gaussian, log_alpha_a: float, log_alpha_b: f
 # --- Gaussian mixtures ------------------------------------------------------
 
 
+def mixture(log_w, means, covs) -> GaussianMixture:
+    """A mixture from the literals a test writes, in the form every producer
+    of the package builds: float64 arrays, exactly symmetric covariances,
+    read-only."""
+    arrays = (np.atleast_1d(np.array(log_w, dtype=float)), np.array(means, dtype=float), symmetrize(np.array(covs, dtype=float)))
+    for a in arrays:
+        a.setflags(write=False)
+    return GaussianMixture(*arrays)
+
+
+def single(g: Gaussian) -> GaussianMixture:
+    return mixture(np.zeros(1), g.mean[None, :], g.cov[None, :, :])
+
+
 def gm_from_components(components: Iterable[tuple[float, Gaussian]]) -> GaussianMixture:
     comps = list(components)
     if not comps:
-        raise ValueError("gm_from_components needs at least one component; use GaussianMixture.empty()")
-    lw = np.array([c[0] for c in comps])
-    mu = np.stack([c[1].mean for c in comps])
-    cv = np.stack([c[1].cov for c in comps])
-    return GaussianMixture(lw, mu, cv)
+        raise ValueError("gm_from_components needs at least one component")
+    return mixture([c[0] for c in comps], np.stack([c[1].mean for c in comps]), np.stack([c[1].cov for c in comps]))
 
 
 def gm_components(p: GaussianMixture) -> Iterator[tuple[float, Gaussian]]:
@@ -138,9 +172,6 @@ def gm_components(p: GaussianMixture) -> Iterator[tuple[float, Gaussian]]:
 def gm_pdf(p: GaussianMixture, x) -> np.ndarray:
     """Mixture density at x; x may be scalar-state (m, d) or (d,)."""
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    if p.n_components == 0:
-        out = np.zeros(xs.shape[0])
-        return out[0] if np.ndim(x) == 1 else out
     per = np.stack([p.log_w[i] + gaussian_logpdf(xs, p.means[i], p.covs[i]) for i in range(p.n_components)])
     out = np.exp(scipy.special.logsumexp(per, axis=0))
     return out[0] if np.ndim(x) == 1 else out
@@ -170,8 +201,6 @@ def gm_merge_prune_cap_loop(
     moments; it must return these arrays bit for bit. Both symmetrize the
     merged covariances.
     """
-    if p.n_components == 0:
-        return p
     if p.n_components == 1:
         return p if p.log_w[0] == 0.0 else p.normalized()
     w = np.exp(p.log_w - p.total_log_weight())
@@ -209,7 +238,7 @@ def gm_merge_prune_cap_loop(
     lw = np.log(np.array([m[0] / tot for m in merged]))
     mu = np.stack([m[1] for m in merged])
     cv = np.stack([m[2] for m in merged])
-    return GaussianMixture._raw(lw, mu, symmetrize(cv))
+    return GaussianMixture(lw, mu, symmetrize(cv))
 
 
 # --- delta-GLMB with association tags -----------------------------------------

@@ -25,7 +25,6 @@ from distmot.densities import (
 )
 from distmot.filters import FilterConfig, UpdateDiagnostics, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
-from distmot.gm import Gaussian, GaussianMixture
 from distmot.harness import run_experiment, run_trial, trial_seed_for
 from distmot.network import metropolis_weights, neighbour_lists
 from distmot.ospa import ospa
@@ -33,11 +32,13 @@ from distmot.scenario import Scenario, load_scenario, with_overrides
 from reference import (
     DeltaGlmbComponent,
     DeltaGlmbDensity,
+    Gaussian,
     consensus_matrix_power_check,
     gm_covariance,
     gm_mean,
     gm_pdf,
     marginalize_delta_glmb,
+    single,
 )
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 from test_assignment import exhaustive_assignments
@@ -55,7 +56,7 @@ def report(num, name, ok, detail):
 
 
 def g1(mean, var=1.0):
-    return GaussianMixture.single(Gaussian([mean], [[var]]))
+    return single(Gaussian([mean], [[var]]))
 
 
 def random_two_label_mdglmb(rng):
@@ -153,7 +154,7 @@ def test_criterion_3_ci_equivalence_over_consensus():
         a = rng.normal(size=(4, 4))
         gaussians.append(Gaussian(rng.normal(scale=2.0, size=4), a @ a.T + 0.5 * np.eye(4)))
     densities = [
-        MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (GaussianMixture.single(ga),)),))
+        MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (single(ga),)),))
         for ga in gaussians
     ]
     infos = [np.linalg.inv(ga.cov) for ga in gaussians]
@@ -208,7 +209,7 @@ def test_criterion_5_update_exhaustive_vs_ranked(monkeypatch):
             return float(out[0]) if np.ndim(states) == 1 else out
 
     def track(px, pos_var):
-        return GaussianMixture.single(Gaussian([px, 0.0, 0.0, 0.0], np.diag([pos_var, 1.0, 1.0, 1.0])))
+        return single(Gaussian([px, 0.0, 0.0, 0.0], np.diag([pos_var, 1.0, 1.0, 1.0])))
 
     predicted = MdGlmbDensity.from_unnormalized([
         MdGlmbHypothesis((), math.log(0.2), ()),

@@ -91,6 +91,16 @@ def test_run_writes_node_network_and_summary(tmp_path):
     assert summary["trials"] == 1 and summary["bytes_reference"] > 0
 
 
+def test_run_keeps_output_inside_out(tmp_path, capsys):
+    # the output files are named after the scenario, so a name with a path
+    # separator would put them outside --out
+    path = write_scenario(tmp_path, name="../escaped")
+    argv = ["run", "--scenario", path, "--algorithm", "centralized-mdglmb", "--trials", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "scenario error: name: '../escaped' is not a file name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["tiny.yaml"]
+
+
 def test_runtime_failure(tmp_path, capsys):
     # the object starts, and stays, at the bearing sensor's position, where
     # a bearing is undefined: the run fails after the scenario validated

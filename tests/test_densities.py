@@ -21,13 +21,17 @@ from distmot.densities import (
     lmb_from_mdglmb,
     lmb_to_mdglmb,
 )
-from distmot.gm import Gaussian, GaussianMixture
+from distmot.gm import GaussianMixture
 from distmot.wire import density_from_dict, density_from_json, density_to_dict
-from reference import DeltaGlmbComponent, DeltaGlmbDensity, gm_mean, marginalize_delta_glmb
+from reference import DeltaGlmbComponent, DeltaGlmbDensity, Gaussian, gm_mean, marginalize_delta_glmb, mixture, single
 
 
 def g1(mean, var=1.0):
-    return GaussianMixture.single(Gaussian([mean], [[var]]))
+    return single(Gaussian([mean], [[var]]))
+
+
+# a unit Gaussian on the 4-D state, the only kind the wire carries
+UNIT4 = single(Gaussian(np.zeros(4), np.eye(4)))
 
 
 L1, L2, L3 = (0, 1), (0, 2), (1, 1)
@@ -50,7 +54,7 @@ def decode_hypotheses(label_lists, log_weights=None):
     each label carrying a unit Gaussian; the wire order is kept as given."""
     log_weights = log_weights or [-math.log(len(label_lists))] * len(label_lists)
     doc = {"schema": "lrfs-density/1", "kind": "mdglmb", "hypotheses": []}
-    pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, g1(0.0)),)))["entries"][0]["pdf"]
+    pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, UNIT4),)))["entries"][0]["pdf"]
     for labels, lw in zip(label_lists, log_weights):
         pairs = [list(l) for l in labels]
         doc["hypotheses"].append(
@@ -75,7 +79,7 @@ class TestLabels:
     def test_label_validation(self, label, ok):
         # labels are checked where they enter: in LMB entries and in
         # hypothesis label lists on wire decode
-        pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, g1(0.0)),)))["entries"][0]["pdf"]
+        pdf = density_to_dict(LmbDensity((LmbEntry(L1, 1.0, UNIT4),)))["entries"][0]["pdf"]
         lmb = {"schema": "lrfs-density/1", "kind": "lmb", "entries": [{"label": label, "existence": 0.5, "pdf": pdf}]}
         hyp = {"labels": [label], "log_weight": 0.0, "tracks": [{"label": label, "pdf": pdf}]}
         mdglmb = {"schema": "lrfs-density/1", "kind": "mdglmb", "hypotheses": [hyp]}
@@ -179,11 +183,6 @@ class TestIntensity:
         assert mass == pytest.approx(0.8, abs=1e-12)
         # mixture is 0.3/0.8 at 0 and 0.5/0.8 at 5
         assert gm_mean(mix)[0] == pytest.approx(5.0 * 0.5 / 0.8, abs=1e-12)
-
-    def test_unknown_label(self):
-        d = MdGlmbDensity.empty()
-        mass, mix = intensity_mdglmb(d, L1)
-        assert mass == 0.0 and mix.n_components == 0
 
 
 class TestMarginalizeDeltaGlmb:
@@ -365,7 +364,7 @@ class TestValidation:
     def test_lmb_rejects_bad_existence(self):
         with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0, 1\)"):
             check_density(LmbDensity((LmbEntry(L1, 1.5, g1(0.0)),)))
-        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
+        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, UNIT4),)))
         doc["entries"][0]["existence"] = 1.5
         with pytest.raises(ValueError, match=r"outside \[0, 1\] for \(0, 1\)"):
             density_from_json(json.dumps(doc))
@@ -381,7 +380,7 @@ class TestValidation:
             decode_hypotheses([(), (L1,)], [float("nan"), 0.0])
 
     def test_lmb_rejects_duplicate_labels(self):
-        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, g1(0.0)),)))
+        doc = density_to_dict(LmbDensity((LmbEntry(L1, 0.5, UNIT4),)))
         doc["entries"].append(doc["entries"][0])
         with pytest.raises(ValueError, match=r"label \(0, 1\) in the LMB density is duplicated"):
             density_from_json(json.dumps(doc))
@@ -390,13 +389,16 @@ class TestValidation:
         pdf = GaussianMixture(np.array([math.log(0.5)]), np.zeros((1, 1)), np.ones((1, 1, 1)))
         with pytest.raises(ValueError, match=r"pdf for \(0, 1\) is not normalized"):
             check_density(LmbDensity((LmbEntry(L1, 0.5, pdf),)))
-        check_density(LmbDensity((LmbEntry(L1, 0.0, GaussianMixture.empty(1)),)))
+        # a pdf without components has no mass: it is not normalized either
+        empty = GaussianMixture(np.zeros(0), np.zeros((0, 1)), np.zeros((0, 1, 1)))
+        with pytest.raises(ValueError, match=r"pdf for \(0, 1\) is not normalized"):
+            check_density(LmbDensity((LmbEntry(L1, 0.0, empty),)))
 
     def test_hypothesis_pdf_count_mismatch(self):
         with pytest.raises(ValueError, match=r"hypothesis \(\(0, 1\), \(0, 2\)\) carries 1 pdfs for 2 labels"):
             check_density(MdGlmbDensity((MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0),)),)))
         with pytest.raises(ValueError, match=r"pdf for \(0, 2\) in hypothesis \(\(0, 1\), \(0, 2\)\) is not normalized"):
-            check_density(MdGlmbDensity((MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0), GaussianMixture.empty(1))),)))
+            check_density(MdGlmbDensity((MdGlmbHypothesis((L1, L2), 0.0, (g1(0.0), mixture([math.log(0.5)], [[0.0]], [[[1.0]]]))),)))
 
     def test_internal_results_pass(self):
         rng = np.random.default_rng(4)

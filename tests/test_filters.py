@@ -34,20 +34,20 @@ from distmot.filters import (
 )
 from distmot.assignment import ranked_assignments
 from distmot.filters import _lse, _mix_contributions, _normalized, _PsiTable
-from distmot.gm import Gaussian, GaussianMixture, gm_merge_prune_cap, logsumexp
+from distmot.gm import GaussianMixture, gm_merge_prune_cap, logsumexp
 from distmot.sensors import unscented_update_mixture
-from reference import gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all
+from reference import Gaussian, gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all, mixture, single
 from test_assignment import exhaustive_assignments
 
 L1, L2, L3 = (0, 1), (0, 2), (1, 1)
 
 
 def g1(mean, var=1.0):
-    return GaussianMixture.single(Gaussian([mean], [[var]]))
+    return single(Gaussian([mean], [[var]]))
 
 
 def g4(px, py, vx=0.0, vy=0.0, pos_var=1e4, vel_var=100.0):
-    return GaussianMixture.single(
+    return single(
         Gaussian([px, vx, py, vy], np.diag([pos_var, vel_var, pos_var, vel_var]))
     )
 
@@ -299,7 +299,7 @@ def eager_psi_row(table, pdf):
             log_psi[j + 1] = tot - table.log_kappa[j]
             if np.isfinite(tot):
                 keep = np.isfinite(log_det[:, j])
-                cond[j + 1] = GaussianMixture._raw(log_det[keep, j] - tot, mus[keep, j], covs[keep])
+                cond[j + 1] = GaussianMixture(log_det[keep, j] - tot, mus[keep, j], covs[keep])
     return log_psi, cond
 
 
@@ -311,7 +311,7 @@ def random_track_pdf(rng, n, spread=100.0, pos_var=1e4):
     for _ in range(n):
         a = rng.normal(size=(4, 4)) * math.sqrt(pos_var) / 10
         covs.append(a @ a.T + np.diag([pos_var, 100.0, pos_var, 100.0]))
-    return GaussianMixture(rng.normal(size=n), means, np.array(covs))
+    return mixture(rng.normal(size=n), means, covs)
 
 
 # P_D 0 makes every detection column -inf (P_D 1 does so for the miss
@@ -400,7 +400,7 @@ class TestPsiBar:
         # perfect linear sensor, z at the prior mean: psi = P_D * N(0; 0, S) / kappa
         sensor = linear_px_sensor(noise_std=2.0, clutter_rate=4.0, detection_prob=0.9, space=(-100.0, 100.0))
         prior_var = 9.0
-        pdf = GaussianMixture.single(Gaussian([5.0, 0.0, 0.0, 0.0], np.diag([prior_var, 1.0, 1.0, 1.0])))
+        pdf = single(Gaussian([5.0, 0.0, 0.0, 0.0], np.diag([prior_var, 1.0, 1.0, 1.0])))
         z = 5.0
         log_psi, cond = psi_bar(pdf, 1, [z], sensor)
         s = prior_var + 4.0

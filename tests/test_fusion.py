@@ -11,9 +11,8 @@ from distmot.densities import (
 )
 from distmot.filters import FilterConfig, reduce_lmb_pdfs, reduce_mdglmb_pdfs
 from distmot.fusion import FusionDegenerateWarning, consensus_run, fuse_lmb, fuse_mdglmb
-from distmot.gm import Gaussian, GaussianMixture
 from distmot.network import metropolis_weights, neighbour_lists
-from reference import gm_covariance, gm_mean
+from reference import Gaussian, gm_covariance, gm_mean, mixture, single
 from set_integral import geometric_mean_evaluator, mdglmb_evaluator, subset_integral, subset_moments
 
 L1, L2 = (0, 1), (0, 2)
@@ -21,11 +20,11 @@ CFG = FilterConfig()
 
 
 def g1(mean, var=1.0):
-    return GaussianMixture.single(Gaussian([mean], [[var]]))
+    return single(Gaussian([mean], [[var]]))
 
 
 def single_hyp_density(gaussian):
-    return MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (GaussianMixture.single(gaussian),)),))
+    return MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (single(gaussian),)),))
 
 
 def random_gaussian(rng, d=4):
@@ -146,7 +145,7 @@ class TestFuseLmb:
 
 
 def scalar_mixture(rng, n):
-    return GaussianMixture(
+    return mixture(
         np.log(rng.dirichlet(np.ones(n))),
         rng.normal(scale=3.0, size=(n, 1)),
         rng.uniform(0.5, 2.0, size=(n, 1, 1)),

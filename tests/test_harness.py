@@ -122,7 +122,7 @@ class TestRunTrial:
 
         truth = generate_truth(s)
         rngs = _sensor_rngs(trial_seed_for(s.seed, 0), 2)
-        motion, cfg = s.motion_model(), s.filter
+        motion, cfg = s.motion, s.filter
         expected_first = 0
         for i, sen in enumerate(s.sensors):
             z = simulate_measurements(truth[0], sen, rngs[i])

@@ -7,6 +7,11 @@ name, an attribute, or a string equal to the name (perfbench's tracer
 names the functions it patches by string); an import alone is not one.
 API that only the tests call belongs in the tests.
 
+A record checks nothing on construction: data is checked where it enters
+the system (scenario load, wire decode), not again on every internal
+object. So a class may define `__post_init__` only if it is listed below
+with its reason.
+
 Likewise every defaulted parameter of a public function or method must be
 passed, by keyword or by position, by some call in those directories that
 names the function; an option only tests set belongs in the tests. And it
@@ -172,3 +177,20 @@ def test_default_allowlist_entries_exist():
     keys = {f"{node.name}({param})" for _, node, param, _ in defaulted_parameters()}
     assert set(ALLOWED_DEFAULTS) <= keys
     assert set(ALWAYS_PASSED) <= keys
+
+
+# Classes that define __post_init__, with the reason each keeps it.
+POST_INIT = {
+    "LmbDensity": "sorts its entries into label order; checks nothing",
+    "MdGlmbDensity": "sorts its hypotheses into label-set order; checks nothing",
+}
+
+
+def test_post_init_only_where_allowed():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(isinstance(f, FUNCS) and f.name == "__post_init__" for f in node.body):
+                found[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    assert set(found) <= set(POST_INIT), f"__post_init__ outside the allowlist: {sorted(set(found) - set(POST_INIT))} at {found}"
+    assert set(POST_INIT) <= set(found), f"allowlisted classes without __post_init__: {sorted(set(POST_INIT) - set(found))}"

@@ -110,6 +110,10 @@ def test_malformed_edge_rejected(edge):
         ("sampling_interval", "5", "a finite number > 0"),
         ("process_noise_std", -1.0, "a finite number >= 0"),
         ("process_noise_std", float("nan"), "a finite number >= 0"),
+        # finite, but the motion model's noise covariance overflows
+        ("sampling_interval", 1e100, "small enough for a finite process noise covariance with process_noise_std 5.0"),
+        ("process_noise_std", 1e200, "small enough for a finite process noise covariance with sampling_interval 5.0"),
+        ("process_noise_std", 1e154, "small enough for a finite process noise covariance with sampling_interval 5.0"),
     ],
 )
 def test_run_setting_checked_at_load(field, value, want):
@@ -145,6 +149,21 @@ def test_override_checked_as_at_load(field, value, want):
     with pytest.raises(ScenarioError, match=rf"^{field}: {re.escape(repr(value))} is not {want}$"):
         with_overrides(s, **{field: value})
     assert getattr(with_overrides(s, **{field: 3}), field) == 3
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".", "..", 5, None, True])
+def test_name_is_a_file_name(name):
+    # the output files are named after the scenario
+    doc = copy.deepcopy(MINIMAL)
+    doc["name"] = name
+    with pytest.raises(ScenarioError, match=rf"^name: {re.escape(repr(name))} is not a file name"):
+        scenario_from_dict(doc, "test")
+    # a name given by the caller, where the document has none, too
+    del doc["name"]
+    if isinstance(name, str):
+        with pytest.raises(ScenarioError, match=rf"^name: {re.escape(repr(name))} is not a file name"):
+            scenario_from_dict(doc, name)
+    assert scenario_from_dict(doc, "mini.v2").name == "mini.v2"
 
 
 def test_bad_schema_rejected():
@@ -306,6 +325,10 @@ def test_birth_cov_not_positive_definite_rejected():
     doc["birth"]["cov_diag"] = [1e-20, 1.0, 1.0, 1.0]
     with pytest.raises(ScenarioError, match=r"^birth\.cov_diag: covariance is not positive-definite"):
         scenario_from_dict(doc, "test")
+    # finite, but the check's symmetrized sum overflows
+    doc["birth"]["cov_diag"] = [1e308, 1.0, 1.0, 1.0]
+    with pytest.raises(ScenarioError, match=r"^birth\.cov_diag: covariance is not positive-definite"):
+        scenario_from_dict(doc, "test")
 
 
 # MINIMAL with a DOA sensor, an edge, the regime values, a filter block,
@@ -364,7 +387,7 @@ def test_unit_interval_ends_accepted():
     doc["survival_prob"] = 1.0
     doc["filter"] = {"gm_merge_thresh": 0, "gm_trunc_thresh": 1.0, "hyp_prune_thresh": 0.0, "max_hypotheses": 1}
     s = scenario_from_dict(doc, "test")
-    assert s.sensors[0].detection_prob == 0.0 and s.survival_prob == 1.0
+    assert s.sensors[0].detection_prob == 0.0 and s.motion.survival_prob == 1.0
     assert (s.filter.gm_merge_thresh, s.filter.gm_trunc_thresh, s.filter.max_hypotheses) == (0, 1.0, 1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distmot.gm import LOG_2PI, Gaussian, GaussianMixture, symmetrize
+from distmot.gm import LOG_2PI, symmetrize
 from distmot.sensors import (
     DegenerateGeometryError,
     angle_residual,
@@ -14,7 +14,7 @@ from distmot.sensors import (
     ut_weights,
     wrap_angle,
 )
-from reference import gm_components, gm_from_components, make_doa, make_toa
+from reference import Gaussian, gm_components, gm_from_components, make_doa, make_toa
 
 
 def state(px, py, vx=0.0, vy=0.0):

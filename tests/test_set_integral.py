@@ -9,8 +9,7 @@ from distmot.densities import (
     MdGlmbDensity,
     MdGlmbHypothesis,
 )
-from distmot.gm import Gaussian, GaussianMixture
-from reference import gm_pdf
+from reference import Gaussian, gm_pdf, single
 from set_integral import (
     geometric_mean_evaluator,
     lmb_evaluator,
@@ -24,7 +23,7 @@ GRID = np.linspace(-25.0, 25.0, 1501)
 
 
 def g1(mean, var=1.0):
-    return GaussianMixture.single(Gaussian([mean], [[var]]))
+    return single(Gaussian([mean], [[var]]))
 
 
 def test_lmb_single_label_integrates_to_one():

@@ -7,13 +7,19 @@ steps of desk_small. After each phase it calls `check_density` on every
 node's density, checks that every covariance equals its transpose exactly,
 and checks that the density survives a wire round trip bit for bit. Then it
 checks that the phases composed here are the ones `run_trial` runs, by
-comparing the estimates of the last step.
+comparing the estimates of the last step. A property test then runs whole
+trials of short random scenarios and checks each node's density at every
+step.
 """
 
 import dataclasses
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from distmot import harness
 
 from distmot.densities import LmbDensity, MdGlmbDensity, check_density
 from distmot.filters import (
@@ -28,10 +34,10 @@ from distmot.filters import (
     reduce_mdglmb_pdfs,
 )
 from distmot.fusion import consensus_run
-from distmot.gm import gm_key
-from distmot.harness import ALGORITHMS, _sensor_rngs, run_trial, trial_seed_for
+from distmot.gm import check_pd, gm_key
+from distmot.harness import ALGORITHMS, _sensor_rngs, run_experiment, run_trial, trial_seed_for
 from distmot.network import metropolis_weights
-from distmot.scenario import generate_truth, load_scenario, with_overrides
+from distmot.scenario import generate_truth, load_scenario, scenario_from_dict, with_overrides
 from distmot.sensors import simulate_measurements
 from distmot.wire import density_from_json, density_to_json
 
@@ -60,7 +66,7 @@ def pdfs_of(d):
 def test_every_phase_yields_valid_densities(algorithm):
     s = dataclasses.replace(with_overrides(load_scenario("desk_small"), consensus_steps=ROUNDS), steps=STEPS)
     truth = generate_truth(s)
-    motion, birth, cfg = s.motion_model(), s.birth, s.filter
+    motion, birth, cfg = s.motion, s.birth, s.filter
     seed = trial_seed_for(s.seed, 0)
     rngs = _sensor_rngs(seed, len(s.sensors))
     centralized = algorithm == "centralized-mdglmb"
@@ -109,3 +115,83 @@ def test_every_phase_yields_valid_densities(algorithm):
     for node, d in enumerate(densities):
         got = [[list(lab), [float(v) for v in x]] for lab, x in extract(d)]
         assert got == trial.estimates[node][STEPS - 1]
+
+
+@st.composite
+def short_scenarios(draw):
+    """A scenario document of 1-3 sensors of random kind, position, clutter
+    and P_D on a random connected graph, 1-2 birth locations, an object born
+    at each, and at most 4 steps. The sensors sit on the area's bottom and
+    top edges and the objects at least 600 m inside it, since a bearing or
+    a range at a sensor's own position is undefined."""
+    n = draw(st.integers(1, 3))
+    sensors = [
+        {
+            "kind": draw(st.sampled_from(["toa", "doa"])),
+            "position": [draw(st.floats(0.0, 10000.0)), draw(st.sampled_from([0.0, 10000.0]))],
+            "clutter_rate": draw(st.floats(0.0, 10.0)),
+            "detection_prob": draw(st.floats(0.3, 1.0)),
+        }
+        for _ in range(n)
+    ]
+    # a random spanning tree, each node joined to an earlier one, and maybe a chord
+    edges = [[draw(st.integers(0, i - 1)), i] for i in range(1, n)]
+    if n == 3 and draw(st.booleans()):
+        edges.append([1, 2])
+    steps = draw(st.integers(1, 4))
+    where = st.tuples(st.floats(1000.0, 9000.0), st.floats(1000.0, 9000.0))
+    locations = draw(st.lists(where, min_size=1, max_size=2, unique=True))
+    velocity = st.floats(-20.0, 20.0)
+    trajectories = [
+        {"birth": draw(st.integers(0, steps - 1)), "death": steps, "state": [x, draw(velocity), y, draw(velocity)]}
+        for x, y in locations
+    ]
+    return {
+        "schema": 1,
+        "name": "random",
+        "area": {"xmin": 0.0, "xmax": 10000.0, "ymin": 0.0, "ymax": 10000.0},
+        "sampling_interval": 5.0,
+        "steps": steps,
+        "birth": {"existence": 0.1, "cov_diag": [9e4, 2.5e3, 9e4, 2.5e3], "locations": [[x, 0.0, y, 0.0] for x, y in locations]},
+        "sensors": sensors,
+        "graph": {"edges": edges},
+        "trajectories": trajectories,
+        "filter": {"max_hypotheses": 20, "hyp_prune_thresh": 1.0e-3, "assignments_per_hypothesis": 4,
+                   "gm_trunc_thresh": 1.0e-2, "gm_max_components": 6},
+        "consensus_steps": draw(st.integers(1, 2)),
+        "trials": 2,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@given(short_scenarios(), st.sampled_from(ALGORITHMS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_random_scenarios_keep_valid_densities(doc, algorithm):
+    # run_trial extracts the estimates of every node at every step from the
+    # density that ends the step: check that density there
+    s = scenario_from_dict(doc, "random")
+    checked = []
+
+    def checking(extract):
+        def wrapped(d):
+            check_density(d)
+            for p in pdfs_of(d):
+                check_pd(p.covs)
+            estimates = extract(d)
+            assert all(np.isfinite(x).all() for _, x in estimates)
+            checked.append(d)
+            return estimates
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("extract_estimates_mdglmb", "extract_estimates_lmb"):
+            mp.setattr(harness, name, checking(getattr(harness, name)))
+        trial = run_trial(s, algorithm, trial_seed_for(s.seed, 0))
+    n_nodes = 1 if algorithm == "centralized-mdglmb" else len(s.sensors)
+    assert len(checked) == s.steps * n_nodes
+
+    # and the trials come out the same from one worker and from two
+    serial = run_experiment(s, algorithm, workers=1, keep_trials=True)
+    pooled = run_experiment(s, algorithm, workers=2, keep_trials=True)
+    assert serial.trial_results[0].to_json() == trial.to_json()
+    assert [t.to_json() for t in serial.trial_results] == [t.to_json() for t in pooled.trial_results]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from distmot.densities import LmbDensity, LmbEntry, MdGlmbDensity, MdGlmbHypothesis
-from distmot.gm import Gaussian
 from distmot.wire import (
     density_from_dict,
     density_from_json,
@@ -14,7 +13,7 @@ from distmot.wire import (
     exchange_bytes_actual,
     exchange_bytes_reference,
 )
-from reference import gm_from_components
+from reference import Gaussian, gm_from_components
 
 L1, L2 = (2, 1), (3, 1)
 
@@ -128,6 +127,13 @@ MALFORMED = {
     "ragged_covariances": (lmb_doc, _set(["entries", 0, "pdf", "covariances"], [[1.0] * 16, [1.0] * 3]), "entries[0].pdf.covariances is not a list of numbers"),
     "covariance_size": (lmb_doc, _set(["entries", 0, "pdf", "covariances"], [[1.0] * 9] * 2), "entries[0].pdf: cannot reshape"),
     "negative_variance": (lmb_doc, _set(["entries", 0, "pdf", "covariances", 1, 0], -1.0), "entries[0].pdf.covariances: covariance is not positive-definite"),
+    "overflowing_covariance": (lmb_doc, _set(["entries", 0, "pdf", "covariances", 1, 0], 1.5e308), "entries[0].pdf.covariances: covariance is not positive-definite"),
+    "state_2d": (lmb_doc, _set(["entries", 0, "pdf"], {"log_weights": [0.0], "means": [[0.0, 0.0]], "covariances": [[1.0, 0.0, 0.0, 1.0]]}), "entries[0].pdf.means: shape (1, 2) is not (1, 4)"),
+    "empty_pdf": (lmb_doc, _set(["entries", 0, "pdf"], {"log_weights": [], "means": [], "covariances": []}), "entries[0].pdf: a mixture needs at least one component"),
+    "nan_mean": (lmb_doc, _set(["entries", 0, "pdf", "means", 0, 2], float("nan")), "entries[0].pdf: mixture parameters must be finite"),
+    "inf_covariance": (lmb_doc, _set(["entries", 0, "pdf", "covariances", 1, 5], float("inf")), "entries[0].pdf: mixture parameters must be finite"),
+    "nan_log_weight": (lmb_doc, _set(["entries", 0, "pdf", "log_weights", 0], float("nan")), "entries[0].pdf: log weights must be < inf and not NaN"),
+    "inf_log_weight": (lmb_doc, _set(["entries", 0, "pdf", "log_weights", 1], float("inf")), "entries[0].pdf: log weights must be < inf and not NaN"),
     "missing_hypotheses": (mdglmb_doc, _delete(["hypotheses"]), "document has no 'hypotheses'"),
     "missing_log_weight": (mdglmb_doc, _delete(["hypotheses", 1, "log_weight"]), "hypotheses[1] has no 'log_weight'"),
     "string_log_weight": (mdglmb_doc, _set(["hypotheses", 0, "log_weight"], "0"), "hypotheses[0].log_weight is not a number"),
