@@ -477,7 +477,7 @@ def extract_estimates_mdglmb(d: MdGlmbDensity) -> list[tuple[Label, np.ndarray]]
     candidates = [h for h in d.hypotheses if len(h.label_set) == n_star]
     candidates.sort(key=lambda h: (-h.log_weight, h.label_set))
     best = candidates[0]
-    return [(lab, pdf.means[np.argmax(pdf.log_w)].copy()) for lab, pdf in zip(best.label_set, best.pdfs)]
+    return [(lab, pdf.means[pdf.argmax_component()].copy()) for lab, pdf in zip(best.label_set, best.pdfs)]
 
 
 def extract_estimates_lmb(d: LmbDensity) -> list[tuple[Label, np.ndarray]]:
@@ -489,7 +489,7 @@ def extract_estimates_lmb(d: LmbDensity) -> list[tuple[Label, np.ndarray]]:
     c_star = int(np.argmax(pmf))
     ranked = sorted(d.entries, key=lambda e: (-e.existence, e.label))[:c_star]
     ranked.sort(key=lambda e: e.label)
-    return [(e.label, e.pdf.means[np.argmax(e.pdf.log_w)].copy()) for e in ranked]
+    return [(e.label, e.pdf.means[e.pdf.argmax_component()].copy()) for e in ranked]
 
 
 def centralized_mdglmb_step(

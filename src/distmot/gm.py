@@ -90,6 +90,10 @@ class GaussianMixture:
     def n_components(self) -> int:
         return self.log_w.size
 
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
     def total_log_weight(self) -> float:
         return logsumexp(self.log_w)
 
@@ -98,6 +102,10 @@ class GaussianMixture:
         if not math.isfinite(total):
             raise ValueError("cannot normalize a zero-mass mixture")
         return GaussianMixture(self.log_w - total, self.means, self.covs)
+
+    def argmax_component(self) -> int:
+        """Index of the heaviest component (first on ties)."""
+        return int(np.argmax(self.log_w))
 
 
 def gm_key(p: GaussianMixture) -> tuple:
@@ -209,7 +217,7 @@ def gm_merge_prune_cap(
 
 def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
     """Closed-form fusion of two single-Gaussian mixtures (exact)."""
-    d = p_a.means.shape[1]
+    d = p_a.dim
     pa, pb = p_a.covs[0], p_b.covs[0]
     ia, ib = np.linalg.inv(pa), np.linalg.inv(pb)
     cov = symmetrize(np.linalg.inv(omega * ia + (1.0 - omega) * ib))
@@ -235,7 +243,7 @@ def _single_pair_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: flo
 
 def _pairwise_chernoff(p_a: GaussianMixture, p_b: GaussianMixture, omega: float):
     """All-pairs fused components and log weights for exponents (w, 1-w)."""
-    na, nb, d = p_a.n_components, p_b.n_components, p_a.means.shape[1]
+    na, nb, d = p_a.n_components, p_b.n_components, p_a.dim
     ia = np.linalg.inv(symmetrize(p_a.covs))
     ib = np.linalg.inv(symmetrize(p_b.covs))
     info = omega * ia[:, None] + (1.0 - omega) * ib[None, :]

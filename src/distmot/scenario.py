@@ -162,29 +162,19 @@ def _numbers(field: str, v, n: int, kind) -> tuple[float, ...]:
     return tuple(float(_number(f"{field}[{i}]", x, kind)) for i, x in enumerate(v))
 
 
-def _motion(ts: float, noise: float, ps: float) -> MotionModel | None:
-    """ncv_motion_model, or None if its noise covariance overflows."""
-    try:
-        with np.errstate(over="ignore"):
-            motion = ncv_motion_model(ts, noise, ps)
-    except OverflowError:  # a Python float power out of range
-        return None
-    return motion if np.isfinite(motion.noise_cov).all() else None
-
-
 def _load_motion(doc: dict, ts: float) -> MotionModel:
     """The filter's motion model; an interval and a noise whose noise
     covariance overflows are an error naming both."""
     noise = float(_number("process_noise_std", doc.get("process_noise_std", 5.0), _NONNEGATIVE))
     ps = float(_number("survival_prob", doc.get("survival_prob", 0.99), _UNIT))
-    motion = _motion(ts, noise, ps)
-    if motion is None:
-        # the interval is at fault if it overflows a unit noise too
-        bad, other = ("sampling_interval", ts), ("process_noise_std", noise)
-        if _motion(ts, 1.0, ps) is not None:
-            bad, other = other, bad
+    try:
+        with np.errstate(over="ignore"):
+            motion = ncv_motion_model(ts, noise, ps)
+    except OverflowError:  # a Python float power out of range
+        motion = None
+    if motion is None or not np.isfinite(motion.noise_cov).all():
         raise ScenarioError(
-            f"{bad[0]}: {bad[1]!r} is not small enough for a finite process noise covariance with {other[0]} {other[1]!r}"
+            f"sampling_interval {ts!r} and process_noise_std {noise!r} give a non-finite process noise covariance"
         )
     return motion
 

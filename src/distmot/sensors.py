@@ -91,7 +91,7 @@ def unscented_update_mixture(gm: GaussianMixture, zs: np.ndarray, sensor: Sensor
     needs; the posterior covariance does not depend on the measurement
     value. Components whose innovation variance fails are flagged invalid.
     """
-    n, d = gm.means.shape
+    n, d = gm.n_components, gm.dim
     zs = np.asarray(zs, dtype=float)
     nz = zs.size
     lam, wm, wc = ut_weights(d)

@@ -110,16 +110,17 @@ def test_malformed_edge_rejected(edge):
         ("sampling_interval", "5", "a finite number > 0"),
         ("process_noise_std", -1.0, "a finite number >= 0"),
         ("process_noise_std", float("nan"), "a finite number >= 0"),
-        # finite, but the motion model's noise covariance overflows
-        ("sampling_interval", 1e100, "small enough for a finite process noise covariance with process_noise_std 5.0"),
-        ("process_noise_std", 1e200, "small enough for a finite process noise covariance with sampling_interval 5.0"),
-        ("process_noise_std", 1e154, "small enough for a finite process noise covariance with sampling_interval 5.0"),
+        # finite, but the motion model's noise covariance overflows: the
+        # message names both fields
+        ("sampling_interval", 1e100, "sampling_interval 1e+100 and process_noise_std 5.0 give a non-finite process noise covariance"),
+        ("process_noise_std", 1e200, "sampling_interval 5.0 and process_noise_std 1e+200 give a non-finite process noise covariance"),
     ],
 )
 def test_run_setting_checked_at_load(field, value, want):
     doc = copy.deepcopy(MINIMAL)
     doc[field] = value
-    with pytest.raises(ScenarioError, match=rf"^{field}: {re.escape(repr(value))} is not {want}$"):
+    message = want if want.endswith("process noise covariance") else f"{field}: {value!r} is not {want}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(doc, "test")
 
 
