@@ -19,6 +19,18 @@ mixes before it is built from them, so a hypothesis that repeats one
 already seen builds nothing; the theta groups of all labels come from one
 pass over each hypothesis's maps.
 
+The update searches only the hypotheses that can pass the prune floor,
+hyp_prune_thresh times the summed weight of every hypothesis's maps. A
+hypothesis's maps weigh at most its prior weight plus the row-order sum of
+its psi rows' maxima plus log k, so it is searched in descending order of
+that bound, and the search stops at the first bound below the floor of the
+weights found so far: that hypothesis and every one after it are pruned
+whatever the others weigh. The kept set is then settled by two floors, over
+the found weights alone and with the skipped bounds added. If a found
+weight lies between them, or none lies certainly above both, the skipped
+hypotheses are searched too and the floor is taken as before; so the output
+never depends on the search order or on the bounds.
+
 Prediction marginalizes the survivor superset sum over prior hypotheses
 exactly: each predicted label set mixes the propagated pdfs of every prior
 hypothesis that can shrink onto it, weighted by the motion model's constant
@@ -34,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +145,14 @@ def _lse(values: list[float]) -> float:
     if not math.isfinite(m):
         return m
     return m + math.log(sum(math.exp(v - m) for v in values))
+
+
+def _slack(n: int, *values: float) -> float:
+    """Twice a bound on the rounding of a log-sum-exp of n terms and of the
+    few additions around it, at the magnitude of the given values: each
+    term's exp is off by 2 eps relative to the largest, their sum by n eps,
+    and the log and each addition by an ulp."""
+    return (8 * n + 32) * sys.float_info.epsilon * (1.0 + sum(abs(v) for v in values))
 
 
 def kalman_predict_mixture(gm: GaussianMixture, motion: MotionModel) -> GaussianMixture:
@@ -250,14 +271,15 @@ def mdglmb_predict(
 
 
 class _PsiRow:
-    """log psi of one track pdf over [miss, z_1, ..., z_m], with the pdf
-    conditioned on each measurement built the first time a map asks for it.
-    A misdetection leaves the pdf unchanged."""
+    """log psi of one track pdf over [miss, z_1, ..., z_m] and its maximum,
+    with the pdf conditioned on each measurement built the first time a map
+    asks for it. A misdetection leaves the pdf unchanged."""
 
-    __slots__ = ("log_psi", "_pdf", "_tot", "_log_det", "_gain", "_resid", "_covs", "_cond")
+    __slots__ = ("log_psi", "best", "_pdf", "_tot", "_log_det", "_gain", "_resid", "_covs", "_cond")
 
-    def __init__(self, log_psi, pdf, tot, log_det, gain, resid, covs):
+    def __init__(self, log_psi, best, pdf, tot, log_det, gain, resid, covs):
         self.log_psi = log_psi
+        self.best = best
         self._pdf = pdf
         self._tot = tot
         self._log_det = log_det
@@ -325,7 +347,7 @@ class _PsiTable:
         log_psi = np.empty(m + 1)
         log_psi[0] = self.log_miss
         if not m:
-            return _PsiRow(log_psi, pdf, None, None, None, None, None)
+            return _PsiRow(log_psi, self.log_miss, pdf, None, None, None, None, None)
         ll, gain, resid, covs, ok = unscented_update_mixture(pdf, self.Z, self.sensor)
         if not ok.all():
             self.diag.dropped_components += int((~ok).sum())
@@ -337,7 +359,23 @@ class _PsiTable:
         sums = np.exp(per_z[live] - tot[live, None]).sum(axis=1)
         tot[live] += [math.log(s) for s in sums.tolist()]
         log_psi[1:] = tot - self.log_kappa
-        return _PsiRow(log_psi, pdf, tot, log_det, gain, resid, covs)
+        return _PsiRow(log_psi, float(log_psi.max()), pdf, tot, log_det, gain, resid, covs)
+
+
+def _weight_bound(log_weight: float, rows: list[_PsiRow], log_k: float) -> float:
+    """Upper bound on the log-sum-exp of a hypothesis's k best map weights.
+
+    Every map scores at most the sum of its rows' maxima added in row order
+    from 0.0, as the search bounds its branches, and at most k maps are
+    summed, so the bound is the prior weight plus that sum plus log k; 4 ulps
+    cover the rounding of log and of the last addition in `_lse`.
+    """
+    best = 0.0
+    for r in rows:
+        best += r.best
+    top = log_weight + best
+    ub = top + log_k
+    return ub + 4.0 * math.ulp(abs(top) + log_k) if math.isfinite(ub) else ub
 
 
 def reduce_mdglmb_pdfs(d: MdGlmbDensity, cfg: FilterConfig) -> MdGlmbDensity:
@@ -392,23 +430,31 @@ def mdglmb_update(
     pruned below hyp_prune_thresh times the joint total, the sum of w(I)
     over all hypotheses (the heaviest is kept if none passes); the rest are
     truncated to max_hypotheses and normalized once, by from_unnormalized.
+
+    Hypotheses are searched in descending `_weight_bound`, and the search
+    stops at the first bound below the floor of the weights found so far,
+    kept as a running maximum and scaled sum. If every found weight is then
+    certainly above or below the floor, whatever the skipped hypotheses
+    weigh up to their bounds, and one is above, the found ones above are
+    kept. Otherwise the skipped hypotheses are searched as well and the
+    floor is taken over all, so the output equals that of a full search.
     """
     table = _PsiTable(Z, sensor, diagnostics)
     m = table.Z.size
+    k = cfg.assignments_per_hypothesis
+    log_k = math.log(k)
+    log_thresh = math.log(cfg.hyp_prune_thresh) if cfg.hyp_prune_thresh > 0.0 else -math.inf
 
     # A label's mixture is fixed by its psi row and the normalized
     # (log weight, measurement) pairs it mixes, so it is looked up by them
     # and only a miss builds and reduces it.
     reduced: dict[tuple, GaussianMixture] = {}
-    hyps = []
-    for h in predicted.hypotheses:
-        if not math.isfinite(h.log_weight):
-            continue
-        rows = [table.row(pdf) for pdf in h.pdfs]
+
+    def search(h: MdGlmbHypothesis, rows: list[_PsiRow]) -> MdGlmbHypothesis | None:
         log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, m + 1))
-        maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis)]
+        maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, k)]
         if not maps:
-            continue
+            return None
         log_w = _lse([w for _, w in maps])
         groups: list[dict[int, list[float]]] = [{} for _ in rows]
         for theta, w in maps:
@@ -422,13 +468,52 @@ def mdglmb_update(
                 mixed = _mix_contributions([(c, row.cond(j)) for c, j in contribs])
                 hit = reduced[row, contribs] = gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components)
             pdfs.append(hit)
-        hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
+        return MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs))
+
+    candidates = []
+    for h in predicted.hypotheses:
+        if math.isfinite(h.log_weight):
+            rows = [table.row(pdf) for pdf in h.pdfs]
+            candidates.append((_weight_bound(h.log_weight, rows, log_k), h, rows))
+    candidates.sort(key=lambda c: -c[0])
+    n = len(candidates)
+
+    hyps = []
+    top, scaled = -math.inf, 0.0  # the found weights sum to top + log(scaled)
+    searched = 0
+    for ub, h, rows in candidates:
+        if scaled:
+            floor = log_thresh + top + math.log(scaled)
+            if ub < floor - _slack(n, floor, log_thresh):
+                break
+        searched += 1
+        found = search(h, rows)
+        if found is None:
+            continue
+        hyps.append(found)
+        w = found.log_weight
+        if w > top:
+            scaled, top = scaled * math.exp(top - w) + 1.0, w
+        else:
+            scaled += math.exp(w - top)
+
+    skipped = candidates[searched:]
+    if skipped:
+        found_w = [h.log_weight for h in hyps]
+        lo = log_thresh + _lse(found_w)
+        hi = log_thresh + _lse(found_w + [ub for ub, _, _ in skipped])
+        keep_from, prune_below = hi + _slack(n, hi, log_thresh), lo - _slack(n, lo, log_thresh)
+        kept = [h for h in hyps if h.log_weight >= keep_from]
+        if kept and not any(prune_below <= w < keep_from for w in found_w):
+            kept.sort(key=lambda h: (-h.log_weight, h.label_set))
+            return MdGlmbDensity.from_unnormalized(kept[: cfg.max_hypotheses])
+        hyps += [found for found in (search(h, rows) for _, h, rows in skipped) if found is not None]
 
     if not hyps:
         raise FilterDegeneracyError("update produced no feasible association for any hypothesis")
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
     if cfg.hyp_prune_thresh > 0.0:
-        floor = math.log(cfg.hyp_prune_thresh) + _lse([h.log_weight for h in hyps])
+        floor = log_thresh + _lse([h.log_weight for h in hyps])
         hyps = [h for h in hyps if h.log_weight >= floor] or hyps[:1]
     hyps = hyps[: cfg.max_hypotheses]
     return MdGlmbDensity.from_unnormalized(hyps)

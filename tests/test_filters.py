@@ -19,6 +19,7 @@ from distmot.filters import (
     BirthEntry,
     BirthModel,
     FilterConfig,
+    FilterDegeneracyError,
     MotionModel,
     UpdateDiagnostics,
     centralized_mdglmb_step,
@@ -33,7 +34,7 @@ from distmot.filters import (
     ncv_motion_model,
 )
 from distmot.assignment import ranked_assignments
-from distmot.filters import _lse, _mix_contributions, _normalized, _PsiTable
+from distmot.filters import _lse, _mix_contributions, _normalized, _PsiTable, _weight_bound
 from distmot.gm import GaussianMixture, gm_merge_prune_cap, logsumexp
 from distmot.sensors import unscented_update_mixture
 from reference import Gaussian, gm_covariance, gm_mean, make_doa, make_toa, mdglmb_predict_build_all, mixture, single
@@ -259,11 +260,11 @@ def assert_same_pdf(got, want):
 
 
 def assert_same_density(got, want):
-    """Equal label sets and log weights, and pdfs equal bit for bit."""
+    """Equal label sets, log weights and pdfs, bit for bit."""
     assert len(got) == len(want)
     for a, b in zip(got.hypotheses, want.hypotheses):
         assert a.label_set == b.label_set
-        assert a.log_weight == b.log_weight
+        assert float.hex(a.log_weight) == float.hex(b.log_weight)
         assert len(a.pdfs) == len(b.pdfs)
         for p, q in zip(a.pdfs, b.pdfs):
             for x, y in ((p.log_w, q.log_w), (p.means, q.means), (p.covs, q.covs)):
@@ -537,14 +538,18 @@ class TestMdglmbUpdate:
 
 
 def rebuilt_update(predicted, Z, sensor, cfg):
-    """mdglmb_update that builds and merges every label's mixture anew from
-    the raw map weights, grouping maps by measurement one label at a time."""
+    """mdglmb_update as a full search: every hypothesis is searched, every
+    label's mixture is built and merged anew from the raw map weights,
+    grouping maps by measurement one label at a time, and the prune floor is
+    taken over all hypotheses before the cap."""
     table = _PsiTable(Z, sensor, UpdateDiagnostics())
     hyps = []
     for h in predicted.hypotheses:
         rows = [table.row(pdf) for pdf in h.pdfs]
         log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, table.Z.size + 1))
         maps = [(theta, h.log_weight + score) for theta, score in ranked_assignments(log_score, cfg.assignments_per_hypothesis)]
+        if not math.isfinite(h.log_weight) or not maps:
+            continue
         log_w = _lse([w for _, w in maps])
         pdfs = []
         for i, row in enumerate(rows):
@@ -555,8 +560,13 @@ def rebuilt_update(predicted, Z, sensor, cfg):
             mixed = _mix_contributions(_normalized(contribs))
             pdfs.append(gm_merge_prune_cap(mixed, cfg.gm_merge_thresh, cfg.gm_trunc_thresh, cfg.gm_max_components))
         hyps.append(MdGlmbHypothesis(h.label_set, log_w, tuple(pdfs)))
+    if not hyps:
+        raise FilterDegeneracyError("no feasible association")
     hyps.sort(key=lambda h: (-h.log_weight, h.label_set))
-    return MdGlmbDensity.from_unnormalized(hyps)
+    if cfg.hyp_prune_thresh > 0.0:
+        floor = math.log(cfg.hyp_prune_thresh) + _lse([h.log_weight for h in hyps])
+        hyps = [h for h in hyps if h.log_weight >= floor] or hyps[:1]
+    return MdGlmbDensity.from_unnormalized(hyps[: cfg.max_hypotheses])
 
 
 class TestUpdateMemo:
@@ -596,6 +606,132 @@ class TestUpdateMemo:
             for p, q in zip(a.pdfs, b.pdfs):
                 for x, y in ((p.log_w, q.log_w), (p.means, q.means), (p.covs, q.covs)):
                     assert x.tobytes() == y.tobytes()
+
+
+def counted_searches(monkeypatch):
+    """Wrap the update's ranked assignment; the list receives each call's track count."""
+    calls = []
+
+    def wrapper(log_score, k):
+        calls.append(log_score.shape[0])
+        return ranked_assignments(log_score, k)
+
+    monkeypatch.setattr(filters, "ranked_assignments", wrapper)
+    return calls
+
+
+def update_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except FilterDegeneracyError:
+        return None
+
+
+def random_update_case(rng, pd, thresh):
+    """Up to 12 hypotheses over 4 labels, whose pdfs come from a pool of 5 so
+    that rows repeat, and whose weights come from 3 levels so that they tie;
+    a scan of 0-5 measurements, some near the pool's means."""
+    pool = [g4(float(rng.uniform(-30.0, 30.0)), 0.0, pos_var=float(rng.choice([1.0, 4.0, 25.0]))) for _ in range(5)]
+    labels = [(0, i) for i in range(1, 5)]
+    subsets = [c for r in range(5) for c in itertools.combinations(labels, r)]
+    levels = rng.normal(0.0, 2.0, 3)
+    hyps = [
+        MdGlmbHypothesis(subsets[i], float(rng.choice(levels)), tuple(pool[j] for j in rng.integers(0, 5, len(subsets[i]))))
+        for i in rng.choice(len(subsets), size=int(rng.integers(1, 13)), replace=False)
+    ]
+    n_near = int(rng.integers(0, 4))
+    Z = [float(pool[j].means[0, 0] + rng.normal(0.0, 1.0)) for j in rng.integers(0, 5, n_near)]
+    Z += rng.uniform(-40.0, 40.0, int(rng.integers(0, 6 - n_near))).tolist()
+    sensor = linear_px_sensor(noise_std=1.0, clutter_rate=2.0, detection_prob=pd, space=(-40.0, 40.0))
+    cfg = FilterConfig(
+        max_hypotheses=int(rng.choice([2, 5, 1000])),
+        hyp_prune_thresh=thresh,
+        assignments_per_hypothesis=int(rng.choice([1, 3, 8])),
+    )
+    return MdGlmbDensity.from_unnormalized(hyps), Z, sensor, cfg
+
+
+class TestBoundedSearch:
+    """The update searches in descending weight bound and stops once the
+    rest are certainly pruned, with the outputs of a full search."""
+
+    @pytest.mark.parametrize("thresh", [0.0, 1e-5, 3e-3, 0.5])
+    @pytest.mark.parametrize("pd", [0.9, 1.0, NO_DETECTION])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_full_search(self, seed, pd, thresh):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            d, Z, sensor, cfg = random_update_case(rng, pd, thresh)
+            want = update_or_none(rebuilt_update, d, Z, sensor, cfg)
+            got = update_or_none(mdglmb_update, d, Z, sensor, cfg, UpdateDiagnostics())
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert_same_density(got, want)
+
+    def test_searches_fewer_hypotheses_than_it_holds(self, monkeypatch):
+        # twelve hypotheses, each a tenth of the one before it: at a floor
+        # of 1e-3 the lightest are pruned however their maps score
+        sensor = linear_px_sensor(noise_std=1.0, clutter_rate=2.0, detection_prob=0.9, space=(-60.0, 60.0))
+        pdfs = [g4(float(x), 0.0, pos_var=4.0) for x in (-20.0, -5.0, 10.0, 25.0)]
+        labels = [(0, i) for i in range(1, 5)]
+        subsets = [c for r in range(5) for c in itertools.combinations(range(4), r)][:12]
+        d = MdGlmbDensity.from_unnormalized([
+            MdGlmbHypothesis(tuple(labels[i] for i in c), -2.3 * rank, tuple(pdfs[i] for i in c))
+            for rank, c in enumerate(subsets)
+        ])
+        Z = [-19.0, 11.0, 40.0]
+        cfg = FilterConfig(hyp_prune_thresh=1e-3)
+        want = rebuilt_update(d, Z, sensor, cfg)
+        calls = counted_searches(monkeypatch)
+        got = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        assert len(calls) < len(d) == 12
+        assert_same_density(got, want)
+
+    def test_weight_between_the_floors_searches_everything(self, monkeypatch):
+        # An empty scan gives each hypothesis one map, so its bound is its
+        # weight times k = 8. After () and {L1} the bound of {L1, L2} is
+        # below the floor, but adding it to the total lifts the floor above
+        # {L1}'s weight; the update must search {L1, L2} to decide.
+        sensor = linear_px_sensor(detection_prob=0.5)
+        pdf = g4(0.0, 0.0)
+        d = MdGlmbDensity.from_unnormalized([
+            MdGlmbHypothesis((), 0.0, ()),
+            MdGlmbHypothesis((L1,), 0.0, (pdf,)),
+            MdGlmbHypothesis((L1, L2), math.log(0.16), (pdf, pdf)),
+        ])
+        cfg = FilterConfig(hyp_prune_thresh=0.3)
+        table = _PsiTable([], sensor, UpdateDiagnostics())
+        w = [h.log_weight - len(h.label_set) * math.log(2.0) for h in d.hypotheses]
+        ub = [_weight_bound(h.log_weight, [table.row(p) for p in h.pdfs], math.log(8)) for h in d.hypotheses]
+        lo = math.log(0.3) + _lse(w[:2])
+        hi = math.log(0.3) + _lse(w[:2] + ub[2:])
+        assert ub[2] < lo <= w[1] < hi
+
+        want = rebuilt_update(d, [], sensor, cfg)
+        calls = counted_searches(monkeypatch)
+        got = mdglmb_update(d, [], sensor, cfg, UpdateDiagnostics())
+        assert calls == [0, 1, 2]
+        assert_same_density(got, want)
+        assert [h.label_set for h in got.hypotheses] == [(), (L1,)]
+
+    @pytest.mark.parametrize("pd", [0.9, 1.0, NO_DETECTION])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bound_covers_the_map_weights(self, seed, pd):
+        rng = np.random.default_rng(seed)
+        sensor = linear_px_sensor(noise_std=0.3, clutter_rate=1.0, detection_prob=pd, space=(-10.0, 10.0))
+        pdfs = [random_track_pdf(rng, int(rng.integers(1, 6)), spread=0.3, pos_var=0.05) for _ in range(4)]
+        Z = [sensor.h(p.means[0]) for p in pdfs[:3]] + rng.uniform(-10.0, 10.0, 2).tolist()
+        table = _PsiTable(Z, sensor, UpdateDiagnostics())
+        for _ in range(30):
+            rows = [table.row(pdfs[j]) for j in rng.integers(0, 4, int(rng.integers(0, 5)))]
+            for r in rows:
+                assert r.best == r.log_psi.max()
+            log_score = np.stack([r.log_psi for r in rows]) if rows else np.zeros((0, len(Z) + 1))
+            log_weight = float(rng.normal(0.0, 10.0 ** rng.integers(-2, 4)))
+            k = int(rng.integers(1, 40))
+            maps = ranked_assignments(log_score, k)
+            if maps:
+                assert _lse([log_weight + score for _, score in maps]) <= _weight_bound(log_weight, rows, math.log(k))
 
 
 class TestLmbPredict:
