@@ -34,8 +34,6 @@ def _cmd_run(args) -> int:
     print(f"wall time {result.wall_time:.1f} s with {args.workers} worker(s)")
     print(f"mean OSPA {result.mean_ospa():.1f} m, mean cardinality error {result.mean_cardinality_error():.3f}")
     print(f"exchanged bytes: reference {result.bytes_reference}, serialized {result.bytes_actual}")
-    if result.dropped_components:
-        print(f"dropped {result.dropped_components} mixture components on numerical failures")
     if args.out:
         print(f"CSV written to {args.out}")
     else:

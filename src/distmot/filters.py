@@ -73,11 +73,6 @@ class FilterDegeneracyError(RuntimeError):
     """The filter lost every hypothesis; the harness names the trial seed and step."""
 
 
-@dataclass
-class UpdateDiagnostics:
-    dropped_components: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class MotionModel:
     """Linear-Gaussian motion with a constant survival probability.
@@ -318,10 +313,9 @@ class _PsiTable:
     them, for measurements no ranked map selects, are never built.
     """
 
-    def __init__(self, Z, sensor: SensorModel, diagnostics: UpdateDiagnostics):
+    def __init__(self, Z, sensor: SensorModel):
         self.Z = np.asarray(Z, dtype=float)
         self.sensor = sensor
-        self.diag = diagnostics
         # each -inf at its end of [0, 1]; numpy's log, which the detection
         # scores have always used, can differ from math.log in the last bit
         pd = sensor.detection_prob
@@ -348,9 +342,7 @@ class _PsiTable:
         log_psi[0] = self.log_miss
         if not m:
             return _PsiRow(log_psi, self.log_miss, pdf, None, None, None, None, None)
-        ll, gain, resid, covs, ok = unscented_update_mixture(pdf, self.Z, self.sensor)
-        if not ok.all():
-            self.diag.dropped_components += int((~ok).sum())
+        ll, gain, resid, covs = unscented_update_mixture(pdf, self.Z, self.sensor)
         alpha = pdf.log_w - pdf.total_log_weight()
         log_det = (alpha + self.log_pd)[:, None] + ll  # (n, m)
         per_z = np.ascontiguousarray(log_det.T)
@@ -420,7 +412,6 @@ def mdglmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics,
 ) -> MdGlmbDensity:
     """Measurement update with per-hypothesis ranked assignment, then
     marginalization over association maps within each label set.
@@ -439,7 +430,7 @@ def mdglmb_update(
     kept. Otherwise the skipped hypotheses are searched as well and the
     floor is taken over all, so the output equals that of a full search.
     """
-    table = _PsiTable(Z, sensor, diagnostics)
+    table = _PsiTable(Z, sensor)
     m = table.Z.size
     k = cfg.assignments_per_hypothesis
     log_k = math.log(k)
@@ -542,7 +533,6 @@ def lmb_update(
     Z,
     sensor: SensorModel,
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics,
 ) -> LmbDensity:
     """Expand to label-set hypotheses, update, and collapse back to an LMB.
 
@@ -550,7 +540,7 @@ def lmb_update(
     updated hypotheses containing l and p(., l) the matching mixture.
     """
     expanded = lmb_to_mdglmb(predicted, cfg.max_hypotheses)
-    updated = mdglmb_update(expanded, Z, sensor, cfg, diagnostics)
+    updated = mdglmb_update(expanded, Z, sensor, cfg)
     return lmb_from_mdglmb(updated)
 
 
@@ -584,11 +574,10 @@ def centralized_mdglmb_step(
     k: int,
     all_sensor_measurements: list[tuple[SensorModel, np.ndarray]],
     cfg: FilterConfig,
-    diagnostics: UpdateDiagnostics,
 ) -> MdGlmbDensity:
     """One predict followed by sequential single-sensor updates (iterated corrector)."""
     d = mdglmb_predict(posterior, motion, birth, k, max_hypotheses=cfg.max_hypotheses)
     d = reduce_mdglmb_pdfs(d, cfg)
     for sensor, Z in all_sensor_measurements:
-        d = mdglmb_update(d, Z, sensor, cfg, diagnostics)
+        d = mdglmb_update(d, Z, sensor, cfg)
     return d

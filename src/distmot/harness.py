@@ -21,7 +21,6 @@ import numpy as np
 
 from .densities import LmbDensity, MdGlmbDensity
 from .filters import (
-    UpdateDiagnostics,
     centralized_mdglmb_step,
     extract_estimates_lmb,
     extract_estimates_mdglmb,
@@ -54,6 +53,7 @@ class TrialResult:
     estimates: list         # (nodes, steps, objects) of [label pair, state]
     bytes_reference: int
     bytes_actual: int
+    # always 0: kept so that to_json() is unchanged while perfbench/run.py reads it
     dropped_components: int
 
     def to_json(self) -> str:
@@ -93,7 +93,6 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     birth = scenario.birth
     cfg = scenario.filter
     rngs = _sensor_rngs(trial_seed, len(scenario.sensors))
-    diag = UpdateDiagnostics()
 
     if algorithm == "consensus-lmb":
         empty, extract = LmbDensity.empty, extract_estimates_lmb
@@ -101,13 +100,13 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
         def step(d, k, scans):
             d = lmb_predict(d, motion, birth, k)
             for sensor, Z in scans:
-                d = lmb_update(d, Z, sensor, cfg, diagnostics=diag)
+                d = lmb_update(d, Z, sensor, cfg)
             return lmb_prune(d, cfg.lmb_prune_thresh, cfg.max_hypotheses)
     else:
         empty, extract = MdGlmbDensity.empty, extract_estimates_mdglmb
 
         def step(d, k, scans):
-            return centralized_mdglmb_step(d, motion, birth, k, scans, cfg, diag)
+            return centralized_mdglmb_step(d, motion, birth, k, scans, cfg)
 
     centralized = algorithm == "centralized-mdglmb"
     n_nodes = 1 if centralized else len(scenario.sensors)
@@ -161,7 +160,7 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
         estimates=estimates,
         bytes_reference=bytes_reference,
         bytes_actual=bytes_actual,
-        dropped_components=diag.dropped_components,
+        dropped_components=0,
     )
 
 
@@ -180,7 +179,6 @@ class ExperimentResult:
     ospa_card_mean: np.ndarray
     bytes_reference: int
     bytes_actual: int
-    dropped_components: int
     wall_time: float
     trial_results: list = field(repr=False, default_factory=list)
 
@@ -244,7 +242,6 @@ def run_experiment(
         ospa_card_mean=ospa_c.mean(axis=0),
         bytes_reference=sum(r.bytes_reference for r in results),
         bytes_actual=sum(r.bytes_actual for r in results),
-        dropped_components=sum(r.dropped_components for r in results),
         wall_time=wall,
         trial_results=results if keep_trials else [],
     )
@@ -303,7 +300,6 @@ def write_csv(result: ExperimentResult, out_dir: Path) -> list[Path]:
         "wall_time_s": result.wall_time,
         "bytes_reference": result.bytes_reference,
         "bytes_actual": result.bytes_actual,
-        "dropped_components": result.dropped_components,
         "mean_ospa": result.mean_ospa(),
         "mean_cardinality_error": result.mean_cardinality_error(),
     }

@@ -85,31 +85,21 @@ def unscented_update_mixture(gm: GaussianMixture, zs: np.ndarray, sensor: Sensor
     """Batched unscented update of every component against every measurement
     of one sensor.
 
-    Returns (log_lik (n, nz), gain (n, d), resid (n, nz), post_covs (n, d, d),
-    valid (n,)). The posterior mean of component i given measurement j is
+    Returns (log_lik (n, nz), gain (n, d), resid (n, nz), post_covs (n, d, d)).
+    The posterior mean of component i given measurement j is
     means[i] + gain[i] * resid[i, j], formed by the caller for the pairs it
     needs; the posterior covariance does not depend on the measurement
-    value. Components whose innovation variance fails are flagged invalid.
+    value.
+
+    Raises np.linalg.LinAlgError if a component's covariance is not positive
+    definite (from its Cholesky factorization), or if its innovation
+    variance is not finite and positive or its gain not finite; the latter
+    message names the sensor's kind and position and the component.
     """
     n, d = gm.n_components, gm.dim
     zs = np.asarray(zs, dtype=float)
-    nz = zs.size
     lam, wm, wc = ut_weights(d)
-    try:
-        scale = np.linalg.cholesky(symmetrize(gm.covs) * (d + lam))
-    except np.linalg.LinAlgError:
-        # retry per component so one bad covariance does not sink the batch
-        scale = np.zeros((n, d, d))
-        bad = np.zeros(n, dtype=bool)
-        for i in range(n):
-            try:
-                scale[i] = np.linalg.cholesky(symmetrize(gm.covs[i]) * (d + lam))
-            except np.linalg.LinAlgError:
-                bad[i] = True
-        if bad.all():
-            return np.full((n, nz), -np.inf), np.zeros((n, d)), np.zeros((n, nz)), gm.covs.copy(), ~bad
-    else:
-        bad = np.zeros(n, dtype=bool)
+    scale = np.linalg.cholesky(symmetrize(gm.covs) * (d + lam))
 
     pts = np.empty((n, 2 * d + 1, d))
     pts[:, 0] = gm.means
@@ -122,19 +112,22 @@ def unscented_update_mixture(gm: GaussianMixture, zs: np.ndarray, sensor: Sensor
     z_pred = hv @ wm
     dz = hv - z_pred[:, None]
     s = (dz * dz) @ wc + sensor.noise_std**2
-    bad |= s <= 0
-    s = np.where(bad, 1.0, s)
-
     cross = np.einsum("k,nkd,nk->nd", wc, pts - gm.means[:, None, :], dz)
     gain = cross / s[:, None]
+    ok = (s > 0.0) & np.isfinite(s) & np.isfinite(gain).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise np.linalg.LinAlgError(
+            f"{sensor.kind} sensor at {sensor.position}: unscented update of component {i} is not finite "
+            f"(innovation variance {float(s[i])!r}, gain {gain[i].tolist()})"
+        )
     if sensor.angular:
         resid = angle_residual(zs[None, :], z_pred[:, None])
     else:
         resid = zs[None, :] - z_pred[:, None]
     post_covs = symmetrize(gm.covs - np.einsum("ni,nj->nij", gain, gain) * s[:, None, None])
     log_lik = -0.5 * (LOG_2PI + np.log(s)[:, None] + resid * resid / s[:, None])
-    log_lik[bad] = -np.inf
-    return log_lik, gain, resid, post_covs, ~bad
+    return log_lik, gain, resid, post_covs
 
 
 def simulate_measurements(truth: list, sensor: SensorModel, rng: np.random.Generator) -> np.ndarray:

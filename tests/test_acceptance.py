@@ -23,7 +23,7 @@ from distmot.densities import (
     cardinality_distribution_mdglmb,
     intensity_mdglmb,
 )
-from distmot.filters import FilterConfig, UpdateDiagnostics, mdglmb_update
+from distmot.filters import FilterConfig, mdglmb_update
 from distmot.fusion import consensus_run, fuse_lmb, fuse_mdglmb
 from distmot.harness import run_experiment, run_trial, trial_seed_for
 from distmot.network import metropolis_weights, neighbour_lists
@@ -218,9 +218,9 @@ def test_criterion_5_update_exhaustive_vs_ranked(monkeypatch):
     ])
     Z = [-3.2, 5.9]
     cfg = FilterConfig(assignments_per_hypothesis=16)
-    a = mdglmb_update(predicted, Z, LinearSensor(), cfg, UpdateDiagnostics())
+    a = mdglmb_update(predicted, Z, LinearSensor(), cfg)
     monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-    b = mdglmb_update(predicted, Z, LinearSensor(), cfg, UpdateDiagnostics())
+    b = mdglmb_update(predicted, Z, LinearSensor(), cfg)
     assert len(a) == len(b)
     worst = 0.0
     for ha, hb in zip(a.hypotheses, b.hypotheses):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -102,12 +103,22 @@ def test_run_keeps_output_inside_out(tmp_path, capsys):
 
 
 def test_runtime_failure(tmp_path, capsys):
-    # the object starts, and stays, at the bearing sensor's position, where
-    # a bearing is undefined: the run fails after the scenario validated
-    trajectories = [{"birth": 1, "death": 12, "state": [5000.0, 0.0, 10000.0, 0.0]}]
-    path = write_scenario(tmp_path, trajectories=trajectories)
-    assert main(["validate", "--scenario", path]) == 0
-    assert main(["run", "--scenario", path, "--algorithm", "centralized-mdglmb", "--trials", "1"]) == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert "runtime error" in err
-    assert "step 1, algorithm centralized-mdglmb: DegenerateGeometryError" in err
+    cases = [
+        # the object starts, and stays, at the bearing sensor's position,
+        # where a bearing is undefined
+        ({"trajectories": [{"birth": 1, "death": 12, "state": [5000.0, 0.0, 10000.0, 0.0]}]},
+         "step 1, algorithm centralized-mdglmb: DegenerateGeometryError"),
+        # a birth covariance that loads but overflows the unscented transform
+        ({"birth": {**tiny_doc()["birth"], "cov_diag": [8e307] * 4},
+          "trajectories": [{"birth": 0, "death": 12, "state": [2000.0, 30.0, 2000.0, 25.0]}]},
+         "step 0, algorithm centralized-mdglmb: LinAlgError: toa sensor at (0.0, 0.0)"),
+    ]
+    # in both the run fails after the scenario validated
+    for fields, message in cases:
+        path = write_scenario(tmp_path, **fields)
+        assert main(["validate", "--scenario", path]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--scenario", path, "--algorithm", "centralized-mdglmb", "--trials", "1"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error" in err
+        assert message in err

@@ -21,7 +21,6 @@ from distmot.filters import (
     FilterConfig,
     FilterDegeneracyError,
     MotionModel,
-    UpdateDiagnostics,
     centralized_mdglmb_step,
     extract_estimates_lmb,
     extract_estimates_mdglmb,
@@ -277,7 +276,7 @@ def psi_bar(track_pdf, z_index, Z, sensor):
     z_index = 0 is the misdetection branch; z_index = j > 0 conditions on
     measurement Z[j-1].
     """
-    row = _PsiTable(Z, sensor, UpdateDiagnostics()).row(track_pdf)
+    row = _PsiTable(Z, sensor).row(track_pdf)
     return float(row.log_psi[z_index]), row.cond(z_index)
 
 
@@ -291,7 +290,7 @@ def eager_psi_row(table, pdf):
     pd = table.sensor.detection_prob
     log_psi[0] = math.log1p(-pd) if pd < 1.0 else -np.inf
     if m:
-        ll, gain, resid, covs, _ = unscented_update_mixture(pdf, table.Z, table.sensor)
+        ll, gain, resid, covs = unscented_update_mixture(pdf, table.Z, table.sensor)
         mus = pdf.means[:, None, :] + gain[:, None, :] * resid[:, :, None]
         with np.errstate(divide="ignore"):
             log_det = (alpha + np.log(pd))[:, None] + ll
@@ -358,12 +357,12 @@ class TestLazyConditioning:
         lo, hi = sensor.measurement_space
         near = [sensor.h(pdf.means[i]) for i in rng.integers(0, pdf.n_components, 12)]
         Z = np.concatenate([near, rng.uniform(lo, hi, int(rng.integers(0, 4)))])
-        self.assert_rows_equal(_PsiTable(Z, sensor, UpdateDiagnostics()), pdf)
+        self.assert_rows_equal(_PsiTable(Z, sensor), pdf)
 
     @pytest.mark.parametrize("pd", [0.8, NO_DETECTION])
     def test_no_measurements(self, pd):
         rng = np.random.default_rng(3)
-        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd), UpdateDiagnostics())
+        table = _PsiTable([], make_doa((0.0, 0.0), detection_prob=pd))
         pdf = random_track_pdf(rng, 9)
         self.assert_rows_equal(table, pdf)
         assert table.row(pdf).log_psi.shape == (1,)
@@ -372,7 +371,7 @@ class TestLazyConditioning:
         rng = np.random.default_rng(5)
         sensor = make_toa((0.0, 0.0), noise_std=50.0, clutter_rate=5.0, detection_prob=0.0)
         pdf = random_track_pdf(rng, 4)
-        row = _PsiTable([100.0, 900.0], sensor, UpdateDiagnostics()).row(pdf)
+        row = _PsiTable([100.0, 900.0], sensor).row(pdf)
         assert np.all(row.log_psi[1:] == -np.inf)
         assert row.cond(1) is pdf and row.cond(2) is pdf
 
@@ -389,7 +388,7 @@ class TestPsiBar:
         # a multi-component track, whose normalized log weights do not sum
         # back to exactly 0 in a log-sum-exp
         pdf = random_track_pdf(np.random.default_rng(2), 5).normalized()
-        row = _PsiTable([100.0], make_toa((0.0, 0.0), detection_prob=0.8), UpdateDiagnostics()).row(pdf)
+        row = _PsiTable([100.0], make_toa((0.0, 0.0), detection_prob=0.8)).row(pdf)
         assert row.log_psi[0] == math.log1p(-0.8)
 
     def test_certain_detection_misdetect_impossible(self):
@@ -440,7 +439,7 @@ class TestMdglmbUpdate:
         ]
         d = MdGlmbDensity.from_unnormalized(hyps)
         cfg = FilterConfig()
-        post = mdglmb_update(d, [], sensor, cfg, UpdateDiagnostics())
+        post = mdglmb_update(d, [], sensor, cfg)
         # weights 0.5 : 0.5*0.1, renormalized; ranking shifts toward the empty set
         w0 = math.exp(post.hypothesis(()).log_weight)
         w1 = math.exp(post.hypothesis((L1,)).log_weight)
@@ -452,7 +451,7 @@ class TestMdglmbUpdate:
         pdf = g4(0.0, 0.0, pos_var=4.0, vel_var=1.0)
         d = MdGlmbDensity((MdGlmbHypothesis((L1,), 0.0, (pdf,)),))
         z = 1.0
-        post = mdglmb_update(d, [z], sensor, FilterConfig(gm_merge_thresh=0.0, gm_trunc_thresh=0.0), UpdateDiagnostics())
+        post = mdglmb_update(d, [z], sensor, FilterConfig(gm_merge_thresh=0.0, gm_trunc_thresh=0.0))
         # only hypothesis is {L1}; its pdf mixes the miss and hit branches.
         # hand-computed psi values:
         s = 4.0 + 1.0
@@ -479,7 +478,7 @@ class TestMdglmbUpdate:
         Z = [-4.0, 7.0]
         cfg = FilterConfig()
         monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-        post = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        post = mdglmb_update(d, Z, sensor, cfg)
         table = brute_force_update_weights(d, Z, sensor)
         for h in post.hypotheses:
             expect = math.log(sum(math.exp(v) for (ls, _), v in table.items() if ls == h.label_set))
@@ -502,7 +501,7 @@ class TestMdglmbUpdate:
         light, middle, heavy = sorted(exact.values())
         for thresh, kept in ((math.sqrt(light * middle), (middle, heavy)), (1.0, (heavy,))):
             cfg = FilterConfig(hyp_prune_thresh=thresh, assignments_per_hypothesis=16)
-            post = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+            post = mdglmb_update(d, Z, sensor, cfg)
             assert sorted(h.label_set for h in post.hypotheses) == sorted(ls for ls, w in exact.items() if w in kept)
             assert len(post) == len(kept) < len(exact)
             for h in post.hypotheses:
@@ -517,9 +516,9 @@ class TestMdglmbUpdate:
         d = MdGlmbDensity.from_unnormalized(hyps)
         Z = [-2.5, 3.5]
         cfg = FilterConfig(assignments_per_hypothesis=16)
-        a = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        a = mdglmb_update(d, Z, sensor, cfg)
         monkeypatch.setattr(filters, "ranked_assignments", exhaustive_assignments)
-        b = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        b = mdglmb_update(d, Z, sensor, cfg)
         assert len(a) == len(b)
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.label_set == hb.label_set
@@ -532,7 +531,7 @@ class TestMdglmbUpdate:
             MdGlmbHypothesis((), math.log(0.4), ()),
             MdGlmbHypothesis((L1,), math.log(0.6), (pdf,)),
         ])
-        post = mdglmb_update(d, [], sensor, FilterConfig(), UpdateDiagnostics())
+        post = mdglmb_update(d, [], sensor, FilterConfig())
         assert np.allclose(cardinality_distribution_mdglmb(post), [0.4, 0.6], atol=1e-12)
         assert np.allclose(post.hypothesis((L1,)).pdfs[0].means, pdf.means)
 
@@ -542,7 +541,7 @@ def rebuilt_update(predicted, Z, sensor, cfg):
     label's mixture is built and merged anew from the raw map weights,
     grouping maps by measurement one label at a time, and the prune floor is
     taken over all hypotheses before the cap."""
-    table = _PsiTable(Z, sensor, UpdateDiagnostics())
+    table = _PsiTable(Z, sensor)
     hyps = []
     for h in predicted.hypotheses:
         rows = [table.row(pdf) for pdf in h.pdfs]
@@ -597,7 +596,7 @@ class TestUpdateMemo:
 
         monkeypatch.setattr(filters, "gm_merge_prune_cap", counted("merge", filters.gm_merge_prune_cap))
         monkeypatch.setattr(filters, "_mix_contributions", counted("mix", filters._mix_contributions))
-        got = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        got = mdglmb_update(d, Z, sensor, cfg)
         assert calls == {"merge": 3, "mix": 3}
 
         assert len(got) == len(want) == 5
@@ -663,7 +662,7 @@ class TestBoundedSearch:
         for _ in range(6):
             d, Z, sensor, cfg = random_update_case(rng, pd, thresh)
             want = update_or_none(rebuilt_update, d, Z, sensor, cfg)
-            got = update_or_none(mdglmb_update, d, Z, sensor, cfg, UpdateDiagnostics())
+            got = update_or_none(mdglmb_update, d, Z, sensor, cfg)
             assert (got is None) == (want is None)
             if got is not None:
                 assert_same_density(got, want)
@@ -683,7 +682,7 @@ class TestBoundedSearch:
         cfg = FilterConfig(hyp_prune_thresh=1e-3)
         want = rebuilt_update(d, Z, sensor, cfg)
         calls = counted_searches(monkeypatch)
-        got = mdglmb_update(d, Z, sensor, cfg, UpdateDiagnostics())
+        got = mdglmb_update(d, Z, sensor, cfg)
         assert len(calls) < len(d) == 12
         assert_same_density(got, want)
 
@@ -700,7 +699,7 @@ class TestBoundedSearch:
             MdGlmbHypothesis((L1, L2), math.log(0.16), (pdf, pdf)),
         ])
         cfg = FilterConfig(hyp_prune_thresh=0.3)
-        table = _PsiTable([], sensor, UpdateDiagnostics())
+        table = _PsiTable([], sensor)
         w = [h.log_weight - len(h.label_set) * math.log(2.0) for h in d.hypotheses]
         ub = [_weight_bound(h.log_weight, [table.row(p) for p in h.pdfs], math.log(8)) for h in d.hypotheses]
         lo = math.log(0.3) + _lse(w[:2])
@@ -709,7 +708,7 @@ class TestBoundedSearch:
 
         want = rebuilt_update(d, [], sensor, cfg)
         calls = counted_searches(monkeypatch)
-        got = mdglmb_update(d, [], sensor, cfg, UpdateDiagnostics())
+        got = mdglmb_update(d, [], sensor, cfg)
         assert calls == [0, 1, 2]
         assert_same_density(got, want)
         assert [h.label_set for h in got.hypotheses] == [(), (L1,)]
@@ -721,7 +720,7 @@ class TestBoundedSearch:
         sensor = linear_px_sensor(noise_std=0.3, clutter_rate=1.0, detection_prob=pd, space=(-10.0, 10.0))
         pdfs = [random_track_pdf(rng, int(rng.integers(1, 6)), spread=0.3, pos_var=0.05) for _ in range(4)]
         Z = [sensor.h(p.means[0]) for p in pdfs[:3]] + rng.uniform(-10.0, 10.0, 2).tolist()
-        table = _PsiTable(Z, sensor, UpdateDiagnostics())
+        table = _PsiTable(Z, sensor)
         for _ in range(30):
             rows = [table.row(pdfs[j]) for j in rng.integers(0, 4, int(rng.integers(0, 5)))]
             for r in rows:
@@ -766,7 +765,7 @@ class TestLmbUpdate:
     def test_vacuous_update_is_identity(self):
         sensor = linear_px_sensor(detection_prob=0.0, clutter_rate=0.0)
         d = LmbDensity((LmbEntry(L1, 0.4, g4(0.0, 0.0)), LmbEntry(L2, 0.7, g4(5.0, 0.0))))
-        post = lmb_update(d, [], sensor, FilterConfig(), UpdateDiagnostics())
+        post = lmb_update(d, [], sensor, FilterConfig())
         for lab in (L1, L2):
             assert post.entry(lab).existence == pytest.approx(d.entry(lab).existence, abs=1e-12)
             assert np.allclose(post.entry(lab).pdf.means, d.entry(lab).pdf.means)
@@ -777,7 +776,7 @@ class TestLmbUpdate:
         pdf = g4(0.0, 0.0, pos_var=4.0)
         d = LmbDensity((LmbEntry(L1, r, pdf),))
         z = 0.5
-        post = lmb_update(d, [z], sensor, FilterConfig(), UpdateDiagnostics())
+        post = lmb_update(d, [z], sensor, FilterConfig())
         # three (I, theta) pairs: (empty), ({L1}, miss), ({L1}, hit)
         s = 5.0
         q = math.exp(-0.5 * (math.log(2 * math.pi * s) + z * z / s))
@@ -793,9 +792,9 @@ class TestLmbUpdate:
         d = LmbDensity((LmbEntry(L1, 0.4, g4(-4.0, 0.0, pos_var=4.0)), LmbEntry(L2, 0.6, g4(5.0, 0.0, pos_var=4.0))))
         cfg = FilterConfig()
         expanded = lmb_to_mdglmb(d, cfg.max_hypotheses)
-        updated = mdglmb_update(expanded, [-3.0, 6.0], sensor, cfg, UpdateDiagnostics())
+        updated = mdglmb_update(expanded, [-3.0, 6.0], sensor, cfg)
         collapsed = lmb_from_mdglmb(updated)
-        post = lmb_update(d, [-3.0, 6.0], sensor, cfg, UpdateDiagnostics())
+        post = lmb_update(d, [-3.0, 6.0], sensor, cfg)
         for lab in (L1, L2):
             mass, _ = intensity_mdglmb(updated, lab)
             assert post.entry(lab).existence == pytest.approx(mass, abs=1e-9)
@@ -863,10 +862,10 @@ class TestCentralized:
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.5]
-        a = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg, UpdateDiagnostics())
+        a = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg)
         from distmot.filters import reduce_mdglmb_pdfs
 
-        b = mdglmb_update(reduce_mdglmb_pdfs(mdglmb_predict(prior, motion, birth, 0, cfg.max_hypotheses), cfg), Z, sensor, cfg, UpdateDiagnostics())
+        b = mdglmb_update(reduce_mdglmb_pdfs(mdglmb_predict(prior, motion, birth, 0, cfg.max_hypotheses), cfg), Z, sensor, cfg)
         assert len(a) == len(b)
         for ha, hb in zip(a.hypotheses, b.hypotheses):
             assert ha.label_set == hb.label_set
@@ -879,8 +878,8 @@ class TestCentralized:
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
         Z = [0.3]
-        one = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg, UpdateDiagnostics())
-        two = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z), (sensor, Z)], cfg, UpdateDiagnostics())
+        one = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z)], cfg)
+        two = centralized_mdglmb_step(prior, motion, birth, 0, [(sensor, Z), (sensor, Z)], cfg)
         lab = (0, 1)
         h1 = one.hypothesis((lab,))
         h2 = two.hypothesis((lab,))
@@ -895,8 +894,8 @@ class TestCentralized:
         motion = ncv_motion_model(1.0, 0.5, 0.99)
         cfg = FilterConfig()
         prior = MdGlmbDensity.empty()
-        a = centralized_mdglmb_step(prior, motion, birth, 0, [(s1, [0.4]), (s2, [0.6])], cfg, UpdateDiagnostics())
-        b = centralized_mdglmb_step(prior, motion, birth, 0, [(s2, [0.6]), (s1, [0.4])], cfg, UpdateDiagnostics())
+        a = centralized_mdglmb_step(prior, motion, birth, 0, [(s1, [0.4]), (s2, [0.6])], cfg)
+        b = centralized_mdglmb_step(prior, motion, birth, 0, [(s2, [0.6]), (s1, [0.4])], cfg)
         import numpy as _np
 
         ca = int(_np.argmax(cardinality_distribution_mdglmb(a)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from distmot.harness import run_trial
+from distmot.harness import ALGORITHMS, run_trial
 from distmot.scenario import (
     ScenarioError,
     generate_truth,
@@ -330,6 +330,20 @@ def test_birth_cov_not_positive_definite_rejected():
     doc["birth"]["cov_diag"] = [1e308, 1.0, 1.0, 1.0]
     with pytest.raises(ScenarioError, match=r"^birth\.cov_diag: covariance is not positive-definite"):
         scenario_from_dict(doc, "test")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_overflowing_birth_cov_raises_in_update(algorithm):
+    # 8e307 passes the load check, but the unscented transform scales it by 3
+    # and overflows; the update raises instead of estimating no object
+    doc = copy.deepcopy(MINIMAL)
+    doc["steps"] = 3
+    doc["birth"]["cov_diag"] = [8e307] * 4
+    doc["trajectories"] = [{"birth": 0, "death": 3, "state": [2000.0, 10.0, 2000.0, 0.0]}]
+    s = scenario_from_dict(doc, "test")
+    message = rf"^trial seed 7, step 0, algorithm {algorithm}: LinAlgError: toa sensor at \(0\.0, 0\.0\): unscented update of component \d+ is not finite"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match=message):
+        run_trial(s, algorithm, 7)
 
 
 # MINIMAL with a DOA sensor, an edge, the regime values, a filter block,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from distmot.gm import LOG_2PI, symmetrize
+from distmot.gm import LOG_2PI, GaussianMixture, symmetrize
 from distmot.sensors import (
     DegenerateGeometryError,
     angle_residual,
@@ -144,8 +144,7 @@ class TestUnscentedUpdate:
         gm = gm_from_components(comps)
         sensor = make_doa((0.0, 0.0), noise_std=math.radians(1.0))
         zs = np.array([0.5, 0.6])
-        ll, gain, resid, covs, ok = unscented_update_mixture(gm, zs, sensor)
-        assert ok.all()
+        ll, gain, resid, covs = unscented_update_mixture(gm, zs, sensor)
         assert gain.shape == (3, 4) and resid.shape == (3, 2)
         for i, (_, g) in enumerate(gm_components(gm)):
             for j, z in enumerate(zs):
@@ -153,6 +152,31 @@ class TestUnscentedUpdate:
                 assert ll[i, j] == pytest.approx(lik, abs=1e-10)
                 assert np.allclose(gm.means[i] + gain[i] * resid[i, j], post.mean, atol=1e-8)
                 assert np.allclose(covs[i], post.cov, atol=1e-8)
+
+    @staticmethod
+    def sound_and(cov):
+        """A two-component mixture: one sound component, then one with cov."""
+        covs = np.stack([np.diag([1e4, 100.0, 1e4, 100.0]), cov])
+        means = np.array([[3000.0, 10.0, 4000.0, -5.0], [5000.0, 0.0, 3000.0, 0.0]])
+        return GaussianMixture(np.full(2, math.log(0.5)), means, covs)
+
+    def test_covariance_not_positive_definite_raises(self):
+        # the second covariance has a negative eigenvalue, so the batch's
+        # Cholesky factorization fails
+        gm = self.sound_and(np.diag([1e4, -1.0, 1e4, 100.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            unscented_update_mixture(gm, np.array([5000.0]), make_toa((0.0, 0.0)))
+
+    @pytest.mark.parametrize("make", [make_toa, make_doa])
+    def test_overflowing_covariance_raises(self, make):
+        # 8e307 is finite, but scaled by d + lambda = 3 for the sigma points
+        # it overflows: a range's innovation variance is then NaN, while a
+        # bearing's stays finite and only its gain is not
+        gm = self.sound_and(np.diag([8e307] * 4))
+        sensor = make((0.0, 0.0))
+        message = rf"^{sensor.kind} sensor at \(0\.0, 0\.0\): unscented update of component 1 is not finite \("
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match=message):
+            unscented_update_mixture(gm, np.array([0.5]), sensor)
 
 
 class TestSimulate:

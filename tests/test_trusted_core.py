@@ -23,7 +23,6 @@ from distmot import harness
 
 from distmot.densities import LmbDensity, MdGlmbDensity, check_density
 from distmot.filters import (
-    UpdateDiagnostics,
     extract_estimates_lmb,
     extract_estimates_mdglmb,
     lmb_predict,
@@ -100,7 +99,7 @@ def test_every_phase_yields_valid_densities(algorithm):
             densities = check("reduce", k, [reduce_mdglmb_pdfs(d, cfg) for d in densities])
         update = lmb_update if lmb else mdglmb_update
         for i in range(len(node_scans[0])):
-            densities = [update(d, ns[i][1], ns[i][0], cfg, UpdateDiagnostics()) for d, ns in zip(densities, node_scans)]
+            densities = [update(d, ns[i][1], ns[i][0], cfg) for d, ns in zip(densities, node_scans)]
             densities = check(f"update {i}", k, densities)
         if lmb:
             densities = check("prune", k, [lmb_prune(d, cfg.lmb_prune_thresh, cfg.max_hypotheses) for d in densities])
