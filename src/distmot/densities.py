@@ -10,7 +10,9 @@ label set a tuple of labels, so labels compare and hash as tuples do.
 
 The records adopt their fields as given; each container only sorts its
 members into canonical label order. `check_density` holds every invariant
-and runs where a density enters from outside (`wire.density_from_dict`).
+and runs where a density enters from outside (`wire.density_from_dict`):
+on every density exchanged in a consensus round, since the neighbours fuse
+the decoded payload.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ aggregation over trials, CSV output, and exchanged-byte accounting.
 One trial executes the per-step node loop for the chosen algorithm:
 local prediction, local update (already marginalized), N synchronous
 consensus rounds with mixture merging, then estimate extraction per node.
+In a round each node's density goes through the wire: it is encoded once,
+its bytes are counted, it is decoded once, and the neighbours fuse the
+decoded density.
 Every random draw derives from (trial seed, sensor index) counter-based
 streams, so trials are reproducible bit-exactly and independent of worker
 scheduling.
@@ -32,7 +35,7 @@ from .fusion import consensus_run
 from .network import metropolis_weights
 from .ospa import ospa
 from .scenario import Scenario, generate_truth
-from .wire import exchange_bytes_actual, exchange_bytes_reference
+from .wire import density_from_json, exchange_bytes_actual, exchange_bytes_reference
 
 ALGORITHMS = ("consensus-mdglmb", "consensus-lmb", "centralized-mdglmb")
 
@@ -75,11 +78,14 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
     """Deterministic single trial; all randomness derives from trial_seed.
 
     Every algorithm runs one recursion per step: a local step at each node,
-    then the scenario's consensus rounds, then extraction. Centralized is a
+    then the scenario's consensus rounds, then extraction. A round encodes
+    each node's density once (`exchange_bytes_actual`), counts the
+    payload's bytes and decodes it once (`density_from_json`, which checks
+    it); `consensus_run` fuses the decoded densities. Centralized is a
     single node that receives every sensor's scan and runs no round; nor
-    does a single sensor, whose graph has no edge. An exception in step k
-    is re-raised as a RuntimeError naming the trial seed, k and the
-    algorithm.
+    does a single sensor, whose graph has no edge. An exception in step k,
+    a payload that fails its decode check included, is re-raised as a
+    RuntimeError naming the trial seed, k and the algorithm.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -131,10 +137,10 @@ def run_trial(scenario: Scenario, algorithm: str, trial_seed: int) -> TrialResul
             node_scans = [scans] if centralized else [[scan] for scan in scans]
             densities = [step(d, k, ns) for d, ns in zip(densities, node_scans)]
             for _ in range(rounds):
-                for d in densities:
-                    bytes_reference += exchange_bytes_reference(d)
-                    bytes_actual += exchange_bytes_actual(d)
-                densities = consensus_run(densities, omega, cfg)
+                payloads = [exchange_bytes_actual(d) for d in densities]
+                bytes_reference += sum(map(exchange_bytes_reference, densities))
+                bytes_actual += sum(map(len, payloads))
+                densities = consensus_run([density_from_json(p) for p in payloads], omega, cfg)
             truth_states = np.array([state for _, state in truth[k]]) if truth[k] else np.zeros((0, 4))
             for node in range(n_nodes):
                 est = extract(densities[node])

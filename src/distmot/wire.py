@@ -8,11 +8,19 @@ in double precision; the reference byte accounting below assumes 4-byte
 floats with a single Gaussian per track (1 weight + 4 mean + 10
 upper-triangle covariance entries per label), so both counts are reported
 by the harness.
+
+In each consensus round a node's density is encoded once
+(`exchange_bytes_actual`), and its neighbours fuse what that payload
+decodes to (`density_from_json`). So every exchanged density passes the
+decode checks and `check_density`. A density the package sends decodes
+bit for bit to the one it encoded.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -28,37 +36,6 @@ def _pdf_to_dict(pdf: GaussianMixture) -> dict:
         "means": pdf.means.tolist(),
         "covariances": [c.reshape(-1).tolist() for c in pdf.covs],
     }
-
-
-def _pdf_from_dict(doc, where: str) -> GaussianMixture:
-    """One received mixture, checked for everything the filters take as
-    given: at least one component, 4-D states [px, vx, py, vy], agreeing
-    shapes, finite means and covariances, log weights neither NaN nor +inf,
-    and covariances positive definite once symmetrized. Its arrays are
-    frozen."""
-    lw, mu, cv = (_numbers(doc, key, where) for key in ("log_weights", "means", "covariances"))
-    n = lw.size
-    if n == 0:
-        raise ValueError(f"{where}: a mixture needs at least one component")
-    if lw.ndim != 1:
-        raise ValueError(f"{where}.log_weights is not a flat list of numbers")
-    if mu.shape != (n, 4):
-        raise ValueError(f"{where}.means: shape {mu.shape} is not ({n}, 4), one 4-D state per log weight")
-    if cv.shape != (n, 16):
-        raise ValueError(f"{where}: cannot reshape covariances of shape {cv.shape} into ({n}, 4, 4)")
-    if not (np.isfinite(mu).all() and np.isfinite(cv).all()):
-        raise ValueError(f"{where}: mixture parameters must be finite")
-    if np.isnan(lw).any() or (lw == np.inf).any():
-        raise ValueError(f"{where}: log weights must be < inf and not NaN")
-    cv = cv.reshape(n, 4, 4)
-    try:
-        check_pd(cv)  # of the symmetrized covariances
-    except ValueError as e:
-        raise ValueError(f"{where}.covariances: {e}") from None
-    cv = symmetrize(cv)
-    for a in (lw, mu, cv):
-        a.setflags(write=False)
-    return GaussianMixture(lw, mu, cv)
 
 
 def density_to_dict(d: LmbDensity | MdGlmbDensity) -> dict:
@@ -111,42 +88,148 @@ def _field(doc, key: str, where: str, kind: type = object):
     return doc[key]
 
 
-def _numbers(doc, key: str, where: str, scalar: bool = False):
-    """A real number (an int or float, not a bool or a numeric string) if
-    scalar, else a list, possibly nested, of real numbers as a float array."""
-    value = _field(doc, key, where, object if scalar else list)
+# The types json.loads gives numbers; bool is neither.
+_REAL = {int, float}
+_PDF_KEYS = ("log_weights", "means", "covariances")
+
+
+def _number(doc, key: str, where: str) -> float:
+    """A real number: an int or float, not a bool or a numeric string. An
+    isinstance test, so that the numpy scalars a `density_to_dict`
+    document can hold as weights and existences pass too."""
+    value = _field(doc, key, where)
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int beyond float range
+        pass
+    raise ValueError(f"{where}.{key} is not a number")
+
+
+def _numbers(doc, key: str, where: str) -> np.ndarray:
+    """A list, possibly nested, of real numbers as a float array."""
+    value = _field(doc, key, where, list)
     try:
         a = np.array(value, dtype=object)
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a.flat) and not (scalar and a.ndim):
-            return float(a) if scalar else a.astype(float)
+        if all(type(x) in _REAL for x in a.flat):
+            return a.astype(float)
     except (ValueError, OverflowError):  # ragged nesting, or an int beyond float range
         pass
-    raise ValueError(f"{where}.{key} is not {'a number' if scalar else 'a list of numbers'}")
+    raise ValueError(f"{where}.{key} is not a list of numbers")
+
+
+def _raise_shape_fault(doc, where: str) -> None:
+    """Raise the ValueError naming the first fault of one mixture's lists:
+    a list that is not of numbers, no component, or disagreeing shapes."""
+    lw, mu, cv = (_numbers(doc, key, where) for key in _PDF_KEYS)
+    n = lw.size
+    if n == 0:
+        raise ValueError(f"{where}: a mixture needs at least one component")
+    if lw.ndim != 1:
+        raise ValueError(f"{where}.log_weights is not a flat list of numbers")
+    if mu.shape != (n, 4):
+        raise ValueError(f"{where}.means: shape {mu.shape} is not ({n}, 4), one 4-D state per log weight")
+    if cv.shape != (n, 16):
+        raise ValueError(f"{where}: cannot reshape covariances of shape {cv.shape} into ({n}, 4, 4)")
+
+
+def _rows(lists, width: int) -> list | None:
+    """The items of lists of rows, flattened in order, if every row is a
+    list of `width` items; else None."""
+    rows = list(chain.from_iterable(lists))
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        return list(chain.from_iterable(rows))
+    return None
+
+
+def _mixtures(pdfs: list[tuple[object, str]]) -> list[GaussianMixture]:
+    """The received mixtures of one density, given as (document, field
+    path) pairs, checked for everything the filters take as given: at
+    least one component, 4-D states [px, vx, py, vy], agreeing shapes,
+    finite means and covariances, log weights neither NaN nor +inf, and
+    covariances positive definite once symmetrized.
+
+    Each check runs once on all the density's components: one type test
+    per field, one finiteness pass, one `check_pd` on the stacked
+    covariances. A failed check names the first mixture that fails it,
+    found from the per-component mask where there is one, and otherwise
+    by checking the mixtures alone in order: a shape fault's message
+    needs that mixture's lists, and LAPACK does not say which matrix did
+    not converge. The arrays are frozen; each mixture holds views of them.
+    """
+    if not pdfs:
+        return []
+    lws, mus, cvs = zip(*([_field(doc, key, where, list) for key in _PDF_KEYS] for doc, where in pdfs))
+    sizes = list(map(len, lws))
+    lw, mu, cv = list(chain.from_iterable(lws)), _rows(mus, 4), _rows(cvs, 16)
+    shaped = (
+        mu is not None and cv is not None and 0 not in sizes
+        and list(map(len, mus)) == sizes == list(map(len, cvs))
+        and all(set(map(type, a)) <= _REAL for a in (lw, mu, cv))
+    )
+    try:
+        numbers = np.array(lw + mu + cv, dtype=float) if shaped else None
+    except OverflowError:  # an int beyond float range
+        numbers = None
+    if numbers is None:
+        for doc, where in pdfs:
+            _raise_shape_fault(doc, where)
+    numbers.setflags(write=False)
+    n = len(lw)
+    lw, mu, cv = numbers[:n], numbers[n:5 * n].reshape(n, 4), numbers[5 * n:].reshape(n, 4, 4)
+    ends = list(accumulate(sizes))
+
+    def first(bad: np.ndarray) -> str:
+        """The field path of the mixture holding the first bad component."""
+        return pdfs[bisect_right(ends, bad.argmax())][1]
+
+    if not np.isfinite(numbers[n:]).all():
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(cv).all(axis=(1, 2))
+        raise ValueError(f"{first(~finite)}: mixture parameters must be finite")
+    below_inf = lw < np.inf  # False for NaN too
+    if not below_inf.all():
+        raise ValueError(f"{first(~below_inf)}: log weights must be < inf and not NaN")
+    try:
+        check_pd(cv)  # of the symmetrized covariances
+    except ValueError:  # not positive definite, or eigenvalues that did not converge
+        for (_, where), k, b in zip(pdfs, sizes, ends):
+            try:
+                check_pd(cv[b - k:b])  # its message gives this mixture's eigenvalue range
+            except ValueError as e:
+                raise ValueError(f"{where}.covariances: {e}") from None
+    cv = symmetrize(cv)
+    cv.setflags(write=False)
+    return [GaussianMixture(lw[b - k:b], mu[b - k:b], cv[b - k:b]) for k, b in zip(sizes, ends)]
 
 
 def _label(value, where: str) -> Label:
     """The label a wire [k, i] pair names: integers (not bools), birth step
     k >= 0 and index i >= 1."""
-    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value) and value[0] >= 0 and value[1] >= 1:
-        return (value[0], value[1])
+    if type(value) is list and len(value) == 2:
+        k, i = value
+        if type(k) is int and type(i) is int and k >= 0 and i >= 1:
+            return (k, i)
     raise ValueError(f"{where}: label {value!r} is not a pair [k, i] of integers with k >= 0 and i >= 1")
 
 
 def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
     """Decode and check a density document; the only way a density enters
-    from outside. A malformed document raises a ValueError naming the field."""
+    from outside. A malformed document raises a ValueError naming the
+    field. The mixtures are checked together (`_mixtures`), and the decoded
+    density then passes `check_density`."""
     if _field(doc, "schema", "document") != SCHEMA:
         raise ValueError(f"unknown schema {doc['schema']!r}")
     kind = _field(doc, "kind", "document")
     if kind == "lmb":
-        entries = []
+        labels, existences, pdfs = [], [], []
         for i, e in enumerate(_field(doc, "entries", "document", list)):
             w = f"entries[{i}]"
-            label, pdf = _label(_field(e, "label", w), w), _pdf_from_dict(_field(e, "pdf", w), f"{w}.pdf")
-            entries.append(LmbEntry(label, _existence(_numbers(e, "existence", w, scalar=True)), pdf))
-        d = LmbDensity(tuple(entries))
+            labels.append(_label(_field(e, "label", w), w))
+            pdfs.append((_field(e, "pdf", w), f"{w}.pdf"))
+            existences.append(_existence(_number(e, "existence", w)))
+        d = LmbDensity(tuple(map(LmbEntry, labels, existences, _mixtures(pdfs))))
     elif kind == "mdglmb":
-        hyps = []
+        heads, pdfs = [], []
         for i, h in enumerate(_field(doc, "hypotheses", "document", list)):
             w = f"hypotheses[{i}]"
             labels = tuple(sorted(_label(l, f"{w}.labels") for l in _field(h, "labels", w, list)))
@@ -154,18 +237,24 @@ def density_from_dict(doc: dict) -> LmbDensity | MdGlmbDensity:
             by_label = {}
             for j, t in enumerate(tracks):
                 tw = f"{w}.tracks[{j}]"
-                by_label[_label(_field(t, "label", tw), tw)] = _pdf_from_dict(_field(t, "pdf", tw), f"{tw}.pdf")
+                by_label[_label(_field(t, "label", tw), tw)] = (_field(t, "pdf", tw), f"{tw}.pdf")
             if len(tracks) != len(labels) or any(l not in by_label for l in labels):
                 raise ValueError(f"{w}.tracks do not hold one track for each label of {labels}")
-            hyps.append(MdGlmbHypothesis(labels, _numbers(h, "log_weight", w, scalar=True), tuple(by_label[l] for l in labels)))
-        d = MdGlmbDensity(tuple(hyps))
+            heads.append((labels, _number(h, "log_weight", w)))
+            pdfs.extend(by_label[l] for l in labels)
+        mixtures = iter(_mixtures(pdfs))
+        d = MdGlmbDensity(tuple(
+            MdGlmbHypothesis(labels, log_weight, tuple(next(mixtures) for _ in labels)) for labels, log_weight in heads
+        ))
     else:
         raise ValueError(f"unknown density kind {kind!r}")
     check_density(d)
     return d
 
 
-def density_from_json(text: str) -> LmbDensity | MdGlmbDensity:
+def density_from_json(text: str | bytes) -> LmbDensity | MdGlmbDensity:
+    """Decode and check a JSON document, given as text or as its UTF-8
+    bytes (the payload `exchange_bytes_actual` builds)."""
     return density_from_dict(json.loads(text))
 
 
@@ -181,6 +270,8 @@ def exchange_bytes_reference(d: LmbDensity | MdGlmbDensity) -> int:
     raise TypeError(f"cannot size {type(d).__name__}")
 
 
-def exchange_bytes_actual(d: LmbDensity | MdGlmbDensity) -> int:
-    """Size of the serialized JSON payload in bytes."""
-    return len(density_to_json(d).encode("utf-8"))
+def exchange_bytes_actual(d: LmbDensity | MdGlmbDensity) -> bytes:
+    """The UTF-8 JSON payload a node sends in a consensus round: its
+    length is the actual byte count, and its decode is what the neighbours
+    fuse."""
+    return density_to_json(d).encode("utf-8")

@@ -146,7 +146,7 @@ def test_wide_instance_scores_sum_in_row_order():
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
-def test_murty_finds_every_map(seed):
+def test_ranked_assignments_finds_every_map(seed):
     rng = np.random.default_rng(seed)
     n, m = 2, 3
     log_score = rng.normal(size=(n, m + 1))

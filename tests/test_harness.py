@@ -1,6 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from distmot import harness
 from distmot.harness import (
     ALGORITHMS,
     run_experiment,
@@ -133,6 +137,71 @@ class TestRunTrial:
             expected_first += exchange_bytes_reference(d)
             assert exchange_bytes_reference(d) == 4 * (1 + 14 * len(d.entries))
         assert r.bytes_reference > expected_first > 0
+
+
+class TestExchange:
+    """A consensus round has one exchange path: each node's payload is
+    encoded once, counted, decoded once, and the decoded density is what
+    its neighbours fuse."""
+
+    STEPS = 4
+
+    def scenario(self):
+        trajectory = {"birth": 1, "death": self.STEPS, "state": [2000.0, 30.0, 2000.0, 25.0]}
+        return tiny_scenario(steps=self.STEPS, consensus_steps=2, trajectories=[trajectory])
+
+    @pytest.mark.parametrize("algorithm", ["consensus-mdglmb", "consensus-lmb"])
+    def test_neighbours_fuse_what_each_payload_decodes_to(self, algorithm, monkeypatch):
+        s = self.scenario()
+        decode, fuse = harness.density_from_json, harness.consensus_run
+        payloads, decoded = [], []
+
+        def counted_decode(payload):
+            payloads.append(payload)
+            decoded.append(decode(payload))
+            return decoded[-1]
+
+        def checked_fuse(densities, omega, cfg):
+            assert [id(d) for d in densities] == [id(d) for d in decoded[-len(densities):]]
+            return fuse(densities, omega, cfg)
+
+        monkeypatch.setattr(harness, "density_from_json", counted_decode)
+        monkeypatch.setattr(harness, "consensus_run", checked_fuse)
+        r = run_trial(s, algorithm, trial_seed_for(s.seed, 0))
+        assert len(payloads) == r.n_nodes * s.consensus_steps * s.steps
+        assert sum(map(len, payloads)) == r.bytes_actual
+
+    @pytest.mark.parametrize("algorithm", ["consensus-mdglmb", "consensus-lmb"])
+    @pytest.mark.parametrize("key, index, value, message", [
+        pytest.param("means", 2, float("nan"), "pdf: mixture parameters must be finite", id="nan_mean"),
+        pytest.param("covariances", 0, -1.0, "pdf.covariances: covariance is not positive-definite", id="not_pd"),
+    ])
+    def test_corrupt_payload_names_seed_step_and_field(self, algorithm, key, index, value, message, monkeypatch):
+        s = self.scenario()
+        encode = harness.exchange_bytes_actual
+        first_corrupt = s.consensus_steps * len(s.sensors) * 2  # the first payload of step 2
+        sent, corrupt = [], []
+
+        def corrupting_encode(d):
+            payload = encode(d)
+            sent.append(payload)
+            if len(sent) <= first_corrupt:
+                return payload
+            doc = json.loads(payload)
+            if doc["kind"] == "lmb":
+                where, pdf = "entries[0]", doc["entries"][0]["pdf"]
+            else:
+                i = next(i for i, h in enumerate(doc["hypotheses"]) if h["tracks"])
+                where, pdf = f"hypotheses[{i}].tracks[0]", doc["hypotheses"][i]["tracks"][0]["pdf"]
+            pdf[key][0][index] = value
+            corrupt.append(where)
+            return json.dumps(doc).encode()
+
+        monkeypatch.setattr(harness, "exchange_bytes_actual", corrupting_encode)
+        seed = trial_seed_for(s.seed, 0)
+        with pytest.raises(RuntimeError) as e:
+            run_trial(s, algorithm, seed)
+        assert re.match(re.escape(f"trial seed {seed}, step 2, algorithm {algorithm}: ValueError: {corrupt[0]}.{message}"), str(e.value))
 
 
 class TestRunExperiment:

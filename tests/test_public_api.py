@@ -28,7 +28,6 @@ CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 
 # The deliberate boundary API, which nothing in the repository calls.
 ALLOWED = {
-    "density_from_json": "wire boundary: decodes and checks a density that arrives as JSON text",
     "main": "console entry point: `distmot = distmot.cli:main` in pyproject.toml",
 }
 

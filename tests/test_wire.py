@@ -63,7 +63,7 @@ def test_reference_byte_count_lmb():
     # 4 * (1 + (4 + 10) * |labels|)
     d = LmbDensity((LmbEntry(L1, 0.09, gm4(0)), LmbEntry(L2, 0.5, gm4(1))))
     assert exchange_bytes_reference(d) == 4 * (1 + 14 * 2)
-    assert exchange_bytes_actual(d) == len(density_to_json(d).encode())
+    assert exchange_bytes_actual(d) == density_to_json(d).encode()
 
 
 def test_reference_byte_count_mdglmb():
@@ -142,6 +142,12 @@ MALFORMED = {
     "extra_track": (mdglmb_doc, _append_first_track, "hypotheses[1].tracks do not hold one track for each label of ((2, 1), (3, 1))"),
     "track_not_object": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 0], []), "hypotheses[1].tracks[0] is not an object"),
     "track_label": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 0, "label"], [2]), "hypotheses[1].tracks[0]: label [2]"),
+    # a density's mixtures are checked together: the error names the one at fault
+    "second_track_bool": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 1, "pdf", "log_weights", 1], False), "hypotheses[1].tracks[1].pdf.log_weights is not a list of numbers"),
+    "second_track_state_2d": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 1, "pdf", "means", 1], [0.0, 0.0]), "hypotheses[1].tracks[1].pdf.means is not a list of numbers"),
+    "second_track_nan_mean": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 1, "pdf", "means", 1, 3], float("nan")), "hypotheses[1].tracks[1].pdf: mixture parameters must be finite"),
+    "second_track_inf_log_weight": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 1, "pdf", "log_weights", 1], float("inf")), "hypotheses[1].tracks[1].pdf: log weights must be < inf and not NaN"),
+    "second_track_not_pd": (mdglmb_doc, _set(["hypotheses", 1, "tracks", 1, "pdf", "covariances", 1, 0], -1.0), "hypotheses[1].tracks[1].pdf.covariances: covariance is not positive-definite"),
 }
 
 
@@ -152,3 +158,20 @@ def test_malformed_document_names_field(name):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(field)):
         density_from_dict(doc)
+
+
+def test_not_pd_error_gives_the_faulty_mixtures_eigenvalues():
+    doc = mdglmb_doc()
+    doc["hypotheses"][1]["tracks"][1]["pdf"]["covariances"][1][0] = -1.0
+    single = {"schema": doc["schema"], "kind": "lmb", "entries": [{"label": [3, 1], "existence": 0.5, "pdf": doc["hypotheses"][1]["tracks"][1]["pdf"]}]}
+    with pytest.raises(ValueError) as alone:
+        density_from_dict(single)
+    with pytest.raises(ValueError) as together:
+        density_from_dict(doc)
+    assert str(alone.value).split(": ", 1)[1] == str(together.value).split(": ", 1)[1]
+
+
+def test_payload_bytes_decode():
+    d = LmbDensity((LmbEntry(L1, 0.09, gm4(0)),))
+    back = density_from_json(exchange_bytes_actual(d))
+    assert back.labels == d.labels and np.array_equal(back.entries[0].pdf.covs, d.entries[0].pdf.covs)
